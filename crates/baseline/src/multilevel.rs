@@ -8,7 +8,7 @@
 //! paying up to one flash read per probed level; this is exactly the
 //! behaviour RHIK's ≤ 1-read design eliminates.
 
-use rhik_core::{RecordTable, TableInsert};
+use rhik_core::{RecordTable, TableInsert, TableStore};
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
@@ -94,58 +94,32 @@ impl MultiLevelIndex {
         ((level as u64 + 1) << 40) | slot as u64
     }
 
-    /// Load the table at (level, slot); returns (table, flash reads).
-    fn load_table(
-        &mut self,
-        ftl: &mut Ftl,
-        level: usize,
-        slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        let key = Self::cache_key(level, slot);
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((
-                RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width),
-                0,
-            ));
-        }
-        match self.levels[level].tables[slot as usize] {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let table =
-                    RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width);
-                self.install(ftl, key, bytes, false)?;
-                Ok((table, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.cfg.hop_width), 0)),
-        }
+    /// `(level, slot)` a cache key names, if both exist.
+    fn locate(&self, key: u64) -> Option<(usize, usize)> {
+        let level = ((key >> 40) as usize).checked_sub(1)?;
+        let slot = (key & 0xff_ffff_ffff) as usize;
+        (level < self.levels.len() && slot < self.levels[level].tables.len())
+            .then_some((level, slot))
+    }
+}
+
+impl TableStore for MultiLevelIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.cfg.hop_width)
     }
 
-    fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        level: usize,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = Self::cache_key(level, slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.levels[level].records[slot as usize] = table.len();
-        self.install(ftl, key, page, true)
+    fn table_ppa(&self, key: u64) -> Option<Ppa> {
+        let (level, slot) = self.locate(key)?;
+        self.levels[level].tables[slot]
     }
 
-    fn install(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: bytes::Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
+    fn table_len(&self, key: u64) -> u32 {
+        self.locate(key).map_or(0, |(level, slot)| self.levels[level].records[slot])
+    }
+
+    fn set_table_len(&mut self, key: u64, len: u32) {
+        let (level, slot) = self.locate(key).expect("updated tables belong to a level");
+        self.levels[level].records[slot] = len;
     }
 
     fn write_back(
@@ -155,14 +129,7 @@ impl MultiLevelIndex {
         data: bytes::Bytes,
         dirty: bool,
     ) -> Result<(), IndexError> {
-        if !dirty {
-            return Ok(());
-        }
-        let level = ((key >> 40) - 1) as usize;
-        let slot = (key & 0xff_ffff_ffff) as usize;
-        if level >= self.levels.len() || slot >= self.levels[level].tables.len() {
-            return Ok(());
-        }
+        let Some((level, slot)) = self.locate(key).filter(|_| dirty) else { return Ok(()) };
         let bytes_len = data.len() as u64;
         let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
@@ -170,6 +137,10 @@ impl MultiLevelIndex {
             ftl.retire_index_page(old, bytes_len);
         }
         Ok(())
+    }
+
+    fn index_stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
     }
 }
 
@@ -188,12 +159,14 @@ impl IndexBackend for MultiLevelIndex {
             if self.levels[level].records[slot as usize] == 0 {
                 continue;
             }
-            let (mut table, _) = self.load_table(ftl, level, slot)?;
-            if table.lookup(sig).is_some() {
-                let TableInsert::Updated { old } = table.insert(sig, ppa) else {
+            let key = Self::cache_key(level, slot);
+            let update = |t: &mut RecordTable<&mut [u8]>| {
+                t.lookup(sig).is_some().then(|| t.insert(sig, ppa))
+            };
+            if let Some(updated) = self.update_table(ftl, key, update)? {
+                let TableInsert::Updated { old } = updated else {
                     unreachable!("lookup said present");
                 };
-                self.store_table(ftl, level, slot, &table)?;
                 return Ok(InsertOutcome::Updated { old });
             }
         }
@@ -205,10 +178,9 @@ impl IndexBackend for MultiLevelIndex {
                 if self.levels[level].records[slot as usize] >= self.records_per_table {
                     continue;
                 }
-                let (mut table, _) = self.load_table(ftl, level, slot)?;
-                match table.insert(sig, ppa) {
+                let key = Self::cache_key(level, slot);
+                match self.update_table(ftl, key, |t| t.insert(sig, ppa))? {
                     TableInsert::Inserted => {
-                        self.store_table(ftl, level, slot, &table)?;
                         self.len += 1;
                         return Ok(InsertOutcome::Inserted);
                     }
@@ -236,10 +208,10 @@ impl IndexBackend for MultiLevelIndex {
             if self.levels[level].records[slot as usize] == 0 {
                 continue;
             }
-            let (table, r) = self.load_table(ftl, level, slot)?;
+            let (hit, r) = self.probe_table(ftl, Self::cache_key(level, slot), sig)?;
             reads += r;
-            if let Some(ppa) = table.lookup(sig) {
-                found = Some(ppa);
+            if hit.is_some() {
+                found = hit;
                 break;
             }
         }
@@ -254,9 +226,9 @@ impl IndexBackend for MultiLevelIndex {
             if self.levels[level].records[slot as usize] == 0 {
                 continue;
             }
-            let (mut table, _) = self.load_table(ftl, level, slot)?;
-            if let Some(ppa) = table.remove(sig) {
-                self.store_table(ftl, level, slot, &table)?;
+            if let Some(ppa) =
+                self.update_table(ftl, Self::cache_key(level, slot), |t| t.remove(sig))?
+            {
                 self.len -= 1;
                 return Ok(Some(ppa));
             }
@@ -309,8 +281,11 @@ impl IndexBackend for MultiLevelIndex {
                 if self.levels[level].records[slot as usize] == 0 {
                     continue;
                 }
-                let (table, _) = self.load_table(ftl, level, slot)?;
-                for (sig, ppa) in table.iter() {
+                let Some((page, _)) = self.fetch_page(ftl, Self::cache_key(level, slot))? else {
+                    continue;
+                };
+                let (records, hop_width) = self.table_shape();
+                for (sig, ppa) in RecordTable::view(&page[..], records, hop_width, 0).iter() {
                     visit(sig, ppa);
                 }
             }
@@ -338,14 +313,11 @@ impl IndexBackend for MultiLevelIndex {
         key: u64,
         old: Ppa,
     ) -> Result<Option<Ppa>, IndexError> {
-        let level = ((key >> 40) - 1) as usize;
-        let slot = (key & 0xff_ffff_ffff) as usize;
-        if level >= self.levels.len()
-            || slot >= self.levels[level].tables.len()
-            || self.levels[level].tables[slot] != Some(old)
-        {
+        let Some((level, slot)) =
+            self.locate(key).filter(|&(l, s)| self.levels[l].tables[s] == Some(old))
+        else {
             return Ok(None);
-        }
+        };
         let bytes = ftl.read_index_page(old)?;
         self.stats.metadata_flash_reads += 1;
         let len = bytes.len() as u64;

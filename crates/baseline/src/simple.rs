@@ -5,7 +5,7 @@
 //! index-induced limit on value sizes. RHIK's §IV-A5 explicitly removes
 //! that coupling; this baseline keeps it for contrast.
 
-use rhik_core::{RecordTable, TableInsert};
+use rhik_core::{RecordTable, TableInsert, TableStore};
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
@@ -46,46 +46,28 @@ impl SimpleHashIndex {
         (1u64 << 50) | slot as u64
     }
 
-    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(RecordTable, u64), IndexError> {
-        let key = Self::cache_key(slot);
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((RecordTable::from_page(&bytes, self.records_per_table, self.hop_width), 0));
-        }
-        match self.tables[slot as usize] {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let t = RecordTable::from_page(&bytes, self.records_per_table, self.hop_width);
-                self.install(ftl, key, bytes, false)?;
-                Ok((t, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.hop_width), 0)),
-        }
+    fn slot_of_key(&self, key: u64) -> Option<usize> {
+        let slot = (key & 0xffff_ffff) as usize;
+        (slot < self.tables.len()).then_some(slot)
+    }
+}
+
+impl TableStore for SimpleHashIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.hop_width)
     }
 
-    fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        self.records[slot as usize] = table.len();
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.install(ftl, Self::cache_key(slot), page, true)
+    fn table_ppa(&self, key: u64) -> Option<Ppa> {
+        self.tables[self.slot_of_key(key)?]
     }
 
-    fn install(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: bytes::Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
+    fn table_len(&self, key: u64) -> u32 {
+        self.slot_of_key(key).map_or(0, |slot| self.records[slot])
+    }
+
+    fn set_table_len(&mut self, key: u64, len: u32) {
+        let slot = self.slot_of_key(key).expect("updated tables belong to a slot");
+        self.records[slot] = len;
     }
 
     fn write_back(
@@ -95,13 +77,7 @@ impl SimpleHashIndex {
         data: bytes::Bytes,
         dirty: bool,
     ) -> Result<(), IndexError> {
-        if !dirty {
-            return Ok(());
-        }
-        let slot = (key & 0xffff_ffff) as usize;
-        if slot >= self.tables.len() {
-            return Ok(());
-        }
+        let Some(slot) = self.slot_of_key(key).filter(|_| dirty) else { return Ok(()) };
         let len = data.len() as u64;
         let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
@@ -109,6 +85,10 @@ impl SimpleHashIndex {
             ftl.retire_index_page(old, len);
         }
         Ok(())
+    }
+
+    fn index_stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
     }
 }
 
@@ -120,18 +100,13 @@ impl IndexBackend for SimpleHashIndex {
         ppa: Ppa,
     ) -> Result<InsertOutcome, IndexError> {
         self.stats.inserts += 1;
-        let slot = self.slot_of(sig);
-        let (mut table, _) = self.load_table(ftl, slot)?;
-        match table.insert(sig, ppa) {
+        let key = Self::cache_key(self.slot_of(sig));
+        match self.update_table(ftl, key, |t| t.insert(sig, ppa))? {
             TableInsert::Inserted => {
-                self.store_table(ftl, slot, &table)?;
                 self.len += 1;
                 Ok(InsertOutcome::Inserted)
             }
-            TableInsert::Updated { old } => {
-                self.store_table(ftl, slot, &table)?;
-                Ok(InsertOutcome::Updated { old })
-            }
+            TableInsert::Updated { old } => Ok(InsertOutcome::Updated { old }),
             TableInsert::Full => {
                 self.stats.insert_aborts += 1;
                 Err(IndexError::CapacityExhausted)
@@ -141,19 +116,17 @@ impl IndexBackend for SimpleHashIndex {
 
     fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
         self.stats.lookups += 1;
-        let slot = self.slot_of(sig);
-        let (table, reads) = self.load_table(ftl, slot)?;
+        let key = Self::cache_key(self.slot_of(sig));
+        let (hit, reads) = self.probe_table(ftl, key, sig)?;
         self.stats.note_lookup_reads(reads);
-        Ok(table.lookup(sig))
+        Ok(hit)
     }
 
     fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
         self.stats.removes += 1;
-        let slot = self.slot_of(sig);
-        let (mut table, _) = self.load_table(ftl, slot)?;
-        let removed = table.remove(sig);
+        let key = Self::cache_key(self.slot_of(sig));
+        let removed = self.update_table(ftl, key, |t| t.remove(sig))?;
         if removed.is_some() {
-            self.store_table(ftl, slot, &table)?;
             self.len -= 1;
         }
         Ok(removed)
@@ -196,9 +169,12 @@ impl IndexBackend for SimpleHashIndex {
             if self.records[slot as usize] == 0 {
                 continue;
             }
-            let (table, _) = self.load_table(ftl, slot)?;
-            for (sig, ppa) in table.iter() {
-                visit(sig, ppa);
+            let key = Self::cache_key(slot);
+            if let Some((page, _)) = self.fetch_page(ftl, key)? {
+                let table = RecordTable::view(&page[..], self.records_per_table, self.hop_width, 0);
+                for (sig, ppa) in table.iter() {
+                    visit(sig, ppa);
+                }
             }
         }
         Ok(())
@@ -220,10 +196,9 @@ impl IndexBackend for SimpleHashIndex {
         key: u64,
         old: Ppa,
     ) -> Result<Option<Ppa>, IndexError> {
-        let slot = (key & 0xffff_ffff) as usize;
-        if slot >= self.tables.len() || self.tables[slot] != Some(old) {
+        let Some(slot) = self.slot_of_key(key).filter(|&s| self.tables[s] == Some(old)) else {
             return Ok(None);
-        }
+        };
         let bytes = ftl.read_index_page(old)?;
         self.stats.metadata_flash_reads += 1;
         let len = bytes.len() as u64;

@@ -154,6 +154,25 @@ impl IndexPageCache {
         }
     }
 
+    /// [`get`](Self::get) for an in-place update: refreshes recency and
+    /// counts a hit or miss exactly as `get` does. The caller must keep
+    /// the buffer's length (the budget is charged by length) and
+    /// [`mark_dirty`](Self::mark_dirty) the entry once it changed it.
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut Bytes> {
+        match self.map.get(&key).copied() {
+            Some(idx) => {
+                self.stats.hits += 1;
+                self.detach(idx);
+                self.push_front(idx);
+                Some(&mut self.slab[idx].data)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
     /// Look up without touching recency or stats (introspection).
     pub fn peek(&self, key: u64) -> Option<&Bytes> {
         self.map.get(&key).map(|&idx| &self.slab[idx].data)
@@ -329,6 +348,20 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn get_mut_counts_and_refreshes_like_get() {
+        let mut c = IndexPageCache::new(200);
+        assert!(c.get_mut(1).is_none());
+        c.insert(1, page(1, 100), false);
+        c.insert(2, page(2, 100), false);
+        *c.get_mut(1).unwrap() = page(7, 100);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+        assert!(!c.is_dirty(1), "get_mut leaves marking dirty to the caller");
+        // 1 is now MRU, so inserting 3 evicts 2.
+        assert_eq!(c.insert(3, page(3, 100), false)[0].key, 2);
+        assert_eq!(c.peek(1).unwrap(), &page(7, 100));
     }
 
     #[test]

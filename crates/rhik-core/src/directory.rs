@@ -43,6 +43,23 @@ impl DirEntry {
     pub fn total_records(&self) -> u32 {
         self.records + self.overflow_records
     }
+
+    /// The primary (or overflow) table's flash address.
+    pub(crate) fn page_ppa(&self, overflow: bool) -> Option<Ppa> {
+        if overflow {
+            self.overflow_ppa
+        } else {
+            self.table_ppa
+        }
+    }
+
+    pub(crate) fn page_ppa_mut(&mut self, overflow: bool) -> &mut Option<Ppa> {
+        if overflow {
+            &mut self.overflow_ppa
+        } else {
+            &mut self.table_ppa
+        }
+    }
 }
 
 /// The DRAM-resident directory.

@@ -9,7 +9,8 @@ use rhik_sigs::KeySignature;
 
 use crate::bucket::{RecordTable, TableInsert};
 use crate::config::RhikConfig;
-use crate::directory::Directory;
+use crate::directory::{DirEntry, Directory};
+use crate::store::TableStore;
 
 /// Cache keys with this bit set identify directory snapshot pages rather
 /// than record-layer tables (they share the FTL's index-page namespace for
@@ -136,16 +137,18 @@ impl RhikIndex {
         // degrades gracefully — the bucket's records are lost, counted in
         // the returned index's `recovery_lost_tables` diagnostics — rather
         // than failing the whole mount.
+        let count = |page: &Bytes| {
+            RecordTable::view(&page[..], records_per_table, cfg.hop_width, 0).iter().count() as u32
+        };
         let mut len = 0u64;
         let mut lost_tables = 0u64;
         for slot in 0..dir.len() as u32 {
             if let Some(ppa) = dir.entry(slot).table_ppa {
                 match ftl.read_index_page(ppa) {
-                    Ok(bytes) => {
-                        let table =
-                            RecordTable::from_page(&bytes, records_per_table, cfg.hop_width);
-                        dir.entry_mut(slot).records = table.len();
-                        len += table.len() as u64;
+                    Ok(page) => {
+                        let records = count(&page);
+                        dir.entry_mut(slot).records = records;
+                        len += records as u64;
                     }
                     Err(_) => {
                         dir.entry_mut(slot).table_ppa = None;
@@ -156,12 +159,11 @@ impl RhikIndex {
             }
             if let Some(ppa) = dir.entry(slot).overflow_ppa {
                 match ftl.read_index_page(ppa) {
-                    Ok(bytes) => {
-                        let table =
-                            RecordTable::from_page(&bytes, records_per_table, cfg.hop_width);
-                        dir.entry_mut(slot).overflow_records = table.len();
+                    Ok(page) => {
+                        let records = count(&page);
+                        dir.entry_mut(slot).overflow_records = records;
                         dir.entry_mut(slot).has_overflow = true;
-                        len += table.len() as u64;
+                        len += records as u64;
                     }
                     Err(_) => {
                         dir.entry_mut(slot).overflow_ppa = None;
@@ -226,26 +228,59 @@ impl RhikIndex {
         self.len as f64 / self.total_capacity() as f64
     }
 
-    pub(crate) fn stats_mut(&mut self) -> &mut IndexStats {
-        &mut self.stats
-    }
-
     pub(crate) fn dir_mut(&mut self) -> &mut Directory {
         &mut self.dir
     }
 
-    /// While migrating: the frozen old directory's `(cache key, entry)`
-    /// for `sig`, if its slot has not yet split — reads must then go to
-    /// the old table. `None` once the slot (or the whole migration) is
-    /// done.
-    fn old_route(&self, sig: KeySignature) -> Option<(u64, crate::directory::DirEntry)> {
-        let m = self.migration.as_ref()?;
-        let slot = m.old.slot_of(sig);
-        if m.is_split(slot) {
-            None
-        } else {
-            Some((m.old.cache_key(slot), *m.old.entry(slot)))
+    /// The directory entry behind a record-page cache key: a slot of the
+    /// current directory or — mid-migration — an un-split slot of the
+    /// frozen old one, whose table is still authoritative. `None` for a
+    /// page of a retired generation or of an already-split old slot.
+    fn entry_of(&self, key: u64) -> Option<&DirEntry> {
+        let key = key & !OVERFLOW_KEY;
+        let slot = Directory::slot_of_key(key);
+        if self.dir.is_current_key(key) {
+            return Some(self.dir.entry(slot));
         }
+        let m = self.migration.as_ref()?;
+        (m.old.is_current_key(key) && !m.is_split(slot)).then(|| m.old.entry(slot))
+    }
+
+    fn entry_of_mut(&mut self, key: u64) -> Option<&mut DirEntry> {
+        let key = key & !OVERFLOW_KEY;
+        let slot = Directory::slot_of_key(key);
+        if self.dir.is_current_key(key) {
+            return Some(self.dir.entry_mut(slot));
+        }
+        let m = self.migration.as_mut()?;
+        (m.old.is_current_key(key) && !m.is_split(slot)).then(|| m.old.entry_mut(slot))
+    }
+
+    /// `(cache key, entry)` of every table that is live: the primary and
+    /// overflow table of each current slot, then — mid-migration — those
+    /// of the frozen old directory's un-split slots.
+    fn live_tables(&self) -> impl Iterator<Item = (u64, &DirEntry)> + '_ {
+        let current =
+            (0..self.dir.len() as u32).map(|s| (self.dir.cache_key(s), self.dir.entry(s)));
+        let pending = self.migration.iter().flat_map(|m| {
+            (0..m.old.len() as u32)
+                .filter(|&s| !m.is_split(s))
+                .map(|s| (m.old.cache_key(s), m.old.entry(s)))
+        });
+        current.chain(pending).flat_map(|(key, e)| [(key, e), (OVERFLOW_KEY | key, e)])
+    }
+
+    /// Cache key of the table serving `sig`: while migrating, the frozen
+    /// old table if the signature's old slot has not split yet, otherwise
+    /// the current directory's.
+    fn route(&self, sig: KeySignature) -> u64 {
+        if let Some(m) = &self.migration {
+            let slot = m.old.slot_of(sig);
+            if !m.is_split(slot) {
+                return m.old.cache_key(slot);
+            }
+        }
+        self.dir.cache_key(self.dir.slot_of(sig))
     }
 
     /// Advance an in-flight incremental migration before serving an index
@@ -275,147 +310,6 @@ impl RhikIndex {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Load the record-layer table for `slot`, through the DRAM cache.
-    ///
-    /// Returns the table and the number of flash reads performed (0 on a
-    /// cache hit or a never-persisted empty table, 1 otherwise — the
-    /// paper's bound).
-    pub(crate) fn load_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        let key = self.dir.cache_key(slot);
-        let ppa = self.dir.entry(slot).table_ppa;
-        self.load_any_table(ftl, key, ppa)
-    }
-
-    /// Load `slot`'s hyper-local overflow table (creating an empty one).
-    fn load_overflow(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        let key = OVERFLOW_KEY | self.dir.cache_key(slot);
-        let ppa = self.dir.entry(slot).overflow_ppa;
-        self.load_any_table(ftl, key, ppa)
-    }
-
-    fn load_any_table(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        ppa: Option<Ppa>,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((
-                RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width),
-                0,
-            ));
-        }
-        match ppa {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let table =
-                    RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width);
-                self.install_in_cache(ftl, key, bytes, false)?;
-                Ok((table, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.cfg.hop_width), 0)),
-        }
-    }
-
-    /// Put a (possibly mutated) table back into the cache as dirty.
-    pub(crate) fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = self.dir.cache_key(slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.install_in_cache(ftl, key, page, true)
-    }
-
-    /// Put an overflow table back into the cache as dirty.
-    fn store_overflow(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = OVERFLOW_KEY | self.dir.cache_key(slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        let entry = self.dir.entry_mut(slot);
-        entry.has_overflow = true;
-        entry.overflow_records = table.len();
-        self.install_in_cache(ftl, key, page, true)
-    }
-
-    /// Insert into the cache, writing back any dirty evictions.
-    fn install_in_cache(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
-    }
-
-    /// Persist an evicted page if it is dirty and still belongs to the
-    /// current configuration.
-    fn write_back(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        data: Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        if !dirty || key & DIR_PAGE_KEY != 0 {
-            return Ok(()); // snapshots are written eagerly, never dirty
-        }
-        let is_overflow = key & OVERFLOW_KEY != 0;
-        let key = key & !OVERFLOW_KEY;
-        if !self.dir.is_current_key(key) {
-            // Mid-migration, a dirty page of the frozen pre-doubling
-            // directory is still the authoritative copy of an un-split
-            // slot: persist it and repoint the old entry, or the split
-            // would read a stale flash image.
-            let old_pending = self.migration.as_ref().is_some_and(|m| {
-                m.old.is_current_key(key) && !m.is_split(Directory::slot_of_key(key))
-            });
-            if old_pending {
-                let slot = Directory::slot_of_key(key);
-                let page_bytes = data.len() as u64;
-                let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-                self.stats.metadata_flash_programs += 1;
-                let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
-                let target =
-                    if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-                if let Some(old) = target.replace(new_ppa) {
-                    ftl.retire_index_page(old, page_bytes);
-                }
-            }
-            return Ok(()); // otherwise pre-resize generation: already retired
-        }
-        let slot = Directory::slot_of_key(key);
-        let page_bytes = data.len() as u64;
-        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        let entry = self.dir.entry_mut(slot);
-        let target = if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-        if let Some(old) = target.replace(new_ppa) {
-            ftl.retire_index_page(old, page_bytes);
-        }
-        Ok(())
     }
 
     /// Mirror a `sig → head` change into the attached read view (no-op
@@ -616,6 +510,67 @@ impl RhikIndex {
     }
 }
 
+impl TableStore for RhikIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.cfg.hop_width)
+    }
+
+    fn table_ppa(&self, key: u64) -> Option<Ppa> {
+        self.entry_of(key)?.page_ppa(key & OVERFLOW_KEY != 0)
+    }
+
+    fn table_len(&self, key: u64) -> u32 {
+        match self.entry_of(key) {
+            Some(e) if key & OVERFLOW_KEY != 0 => e.overflow_records,
+            Some(e) => e.records,
+            None => 0,
+        }
+    }
+
+    fn set_table_len(&mut self, key: u64, len: u32) {
+        let is_overflow = key & OVERFLOW_KEY != 0;
+        if let Some(entry) = self.entry_of_mut(key) {
+            if is_overflow {
+                entry.overflow_records = len;
+                entry.has_overflow = true;
+            } else {
+                entry.records = len;
+            }
+        }
+    }
+
+    /// Persist an evicted page if it is dirty and still belongs to a live
+    /// slot. Mid-migration, a dirty page of an un-split old slot is still
+    /// the authoritative copy: it is persisted and the frozen entry
+    /// repointed, or the split would read a stale flash image. Pages of a
+    /// retired generation were already superseded, and directory snapshots
+    /// are written eagerly, never dirty.
+    fn write_back(
+        &mut self,
+        ftl: &mut Ftl,
+        key: u64,
+        data: Bytes,
+        dirty: bool,
+    ) -> Result<(), IndexError> {
+        if !dirty || key & DIR_PAGE_KEY != 0 || self.entry_of(key).is_none() {
+            return Ok(());
+        }
+        let page_bytes = data.len() as u64;
+        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
+        self.stats.metadata_flash_programs += 1;
+        if let Some(entry) = self.entry_of_mut(key) {
+            if let Some(old) = entry.page_ppa_mut(key & OVERFLOW_KEY != 0).replace(new_ppa) {
+                ftl.retire_index_page(old, page_bytes);
+            }
+        }
+        Ok(())
+    }
+
+    fn index_stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
+    }
+}
+
 impl IndexBackend for RhikIndex {
     fn insert(
         &mut self,
@@ -627,62 +582,45 @@ impl IndexBackend for RhikIndex {
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
         let slot = self.dir.slot_of(sig);
-        let (mut table, _reads) = self.load_table(ftl, slot)?;
+        let key = self.dir.cache_key(slot);
 
         // If the bucket has overflowed before, the signature may already
         // live in the overflow table; updates must land there, not create
         // a duplicate in the primary.
-        if self.dir.entry(slot).has_overflow && table.lookup(sig).is_none() {
-            let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-            if overflow.lookup(sig).is_some() {
-                let TableInsert::Updated { old } = overflow.insert(sig, ppa) else {
-                    unreachable!("lookup said present");
-                };
-                self.store_overflow(ftl, slot, &overflow)?;
-                self.note_view_upsert(sig, ppa);
-                self.maybe_flush_directory(ftl)?;
-                return Ok(InsertOutcome::Updated { old });
-            }
+        if self.dir.entry(slot).has_overflow
+            && self.probe_table(ftl, key, sig)?.0.is_none()
+            && self.probe_table(ftl, OVERFLOW_KEY | key, sig)?.0.is_some()
+        {
+            let TableInsert::Updated { old } =
+                self.update_table(ftl, OVERFLOW_KEY | key, |t| t.insert(sig, ppa))?
+            else {
+                unreachable!("probe said present");
+            };
+            self.note_view_upsert(sig, ppa);
+            self.maybe_flush_directory(ftl)?;
+            return Ok(InsertOutcome::Updated { old });
         }
 
-        let outcome = match table.insert(sig, ppa) {
+        let insert = |t: &mut RecordTable<&mut [u8]>| (t.insert(sig, ppa), t.displacements());
+        let (mut result, displacements) = self.update_table(ftl, key, insert)?;
+        if result == TableInsert::Full && self.cfg.hyper_local {
+            // §VI hyper-local scaling: absorb the reject in a per-bucket
+            // overflow table instead of aborting.
+            result = self.update_table(ftl, OVERFLOW_KEY | key, |t| t.insert(sig, ppa))?;
+        }
+        let outcome = match result {
             TableInsert::Inserted => {
-                self.store_table(ftl, slot, &table)?;
-                self.dir.entry_mut(slot).records = table.len();
                 self.len += 1;
                 InsertOutcome::Inserted
             }
-            TableInsert::Updated { old } => {
-                self.store_table(ftl, slot, &table)?;
-                InsertOutcome::Updated { old }
-            }
-            TableInsert::Full if self.cfg.hyper_local => {
-                // §VI hyper-local scaling: absorb the reject in a
-                // per-bucket overflow table instead of aborting.
-                let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-                match overflow.insert(sig, ppa) {
-                    TableInsert::Inserted => {
-                        self.store_overflow(ftl, slot, &overflow)?;
-                        self.len += 1;
-                        InsertOutcome::Inserted
-                    }
-                    TableInsert::Updated { old } => {
-                        self.store_overflow(ftl, slot, &overflow)?;
-                        InsertOutcome::Updated { old }
-                    }
-                    TableInsert::Full => {
-                        self.stats.insert_aborts += 1;
-                        return Err(IndexError::TableFull { table: slot as u64 });
-                    }
-                }
-            }
+            TableInsert::Updated { old } => InsertOutcome::Updated { old },
             TableInsert::Full => {
                 self.stats.insert_aborts += 1;
                 return Err(IndexError::TableFull { table: slot as u64 });
             }
         };
-        if table.displacements() > 0 {
-            ftl.telemetry().counter_add("rhik_hopscotch_displacements", table.displacements());
+        if displacements > 0 {
+            ftl.telemetry().counter_add("rhik_hopscotch_displacements", displacements);
         }
         self.note_view_upsert(sig, ppa);
         self.maybe_resize(ftl)?;
@@ -694,40 +632,20 @@ impl IndexBackend for RhikIndex {
         self.stats.lookups += 1;
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, None)?;
-        if let Some((key, entry)) = self.old_route(sig) {
-            // Un-migrated slot: serve from the frozen old table, same
-            // ≤ 1-flash-read path as a live table.
-            let (table, mut reads) = self.load_any_table(ftl, key, entry.table_ppa)?;
-            debug_assert!(reads <= 1, "old-table lookup exceeded one flash read");
-            if let Some(hit) = table.lookup(sig) {
-                self.stats.note_lookup_reads(reads);
-                return Ok(Some(hit));
-            }
-            let mut hit = None;
-            if entry.has_overflow {
-                let (overflow, r2) =
-                    self.load_any_table(ftl, OVERFLOW_KEY | key, entry.overflow_ppa)?;
-                reads += r2;
-                hit = overflow.lookup(sig);
-            }
-            self.stats.note_lookup_reads(reads);
-            return Ok(hit);
-        }
-        let slot = self.dir.slot_of(sig);
-        let (table, mut reads) = self.load_table(ftl, slot)?;
+        // Un-migrated slots are served from the frozen old table, through
+        // the same ≤ 1-flash-read path as a live table.
+        let key = self.route(sig);
+        let (mut hit, mut reads) = self.probe_table(ftl, key, sig)?;
         debug_assert!(reads <= 1, "primary lookup exceeded one flash read");
-        if let Some(hit) = table.lookup(sig) {
-            self.stats.note_lookup_reads(reads);
-            return Ok(Some(hit));
-        }
         // Overflowed buckets may need a second read — the documented cost
         // of hyper-local scaling (resize migration may also create overflow
         // tables as a survival measure, so this is checked unconditionally).
-        let mut hit = None;
-        if self.dir.entry(slot).has_overflow {
-            let (overflow, r2) = self.load_overflow(ftl, slot)?;
+        // The entry is read only now: fetching the primary may have written
+        // back, and so moved, the overflow page.
+        if hit.is_none() && self.entry_of(key).is_some_and(|e| e.has_overflow) {
+            let (overflow_hit, r2) = self.probe_table(ftl, OVERFLOW_KEY | key, sig)?;
+            hit = overflow_hit;
             reads += r2;
-            hit = overflow.lookup(sig);
         }
         self.stats.note_lookup_reads(reads);
         Ok(hit)
@@ -738,17 +656,10 @@ impl IndexBackend for RhikIndex {
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
         let slot = self.dir.slot_of(sig);
-        let (mut table, _) = self.load_table(ftl, slot)?;
-        let mut removed = table.remove(sig);
-        if removed.is_some() {
-            self.store_table(ftl, slot, &table)?;
-            self.dir.entry_mut(slot).records = table.len();
-        } else if self.dir.entry(slot).has_overflow {
-            let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-            removed = overflow.remove(sig);
-            if removed.is_some() {
-                self.store_overflow(ftl, slot, &overflow)?;
-            }
+        let key = self.dir.cache_key(slot);
+        let mut removed = self.update_table(ftl, key, |t| t.remove(sig))?;
+        if removed.is_none() && self.dir.entry(slot).has_overflow {
+            removed = self.update_table(ftl, OVERFLOW_KEY | key, |t| t.remove(sig))?;
         }
         if removed.is_some() {
             self.len -= 1;
@@ -793,40 +704,13 @@ impl IndexBackend for RhikIndex {
     }
 
     fn live_index_pages_in(&self, block: u32) -> Vec<(u64, Ppa)> {
-        let mut pages = Vec::new();
-        for slot in 0..self.dir.len() as u32 {
-            let e = self.dir.entry(slot);
-            if let Some(ppa) = e.table_ppa {
-                if ppa.block == block {
-                    pages.push((self.dir.cache_key(slot), ppa));
-                }
-            }
-            if let Some(ppa) = e.overflow_ppa {
-                if ppa.block == block {
-                    pages.push((OVERFLOW_KEY | self.dir.cache_key(slot), ppa));
-                }
-            }
-        }
-        // Old-generation tables of un-split slots are still live
-        // mid-migration; GC must relocate, not erase them.
-        if let Some(m) = &self.migration {
-            for slot in 0..m.old.len() as u32 {
-                if m.is_split(slot) {
-                    continue;
-                }
-                let e = m.old.entry(slot);
-                if let Some(ppa) = e.table_ppa {
-                    if ppa.block == block {
-                        pages.push((m.old.cache_key(slot), ppa));
-                    }
-                }
-                if let Some(ppa) = e.overflow_ppa {
-                    if ppa.block == block {
-                        pages.push((OVERFLOW_KEY | m.old.cache_key(slot), ppa));
-                    }
-                }
-            }
-        }
+        // Mid-migration this includes old-generation tables of un-split
+        // slots: GC must relocate, not erase them.
+        let mut pages: Vec<(u64, Ppa)> = self
+            .live_tables()
+            .filter_map(|(key, e)| Some((key, e.page_ppa(key & OVERFLOW_KEY != 0)?)))
+            .filter(|(_, ppa)| ppa.block == block)
+            .collect();
         for (i, &ppa) in self.dir_snapshot.iter().enumerate() {
             if ppa.block == block {
                 pages.push((DIR_PAGE_KEY | i as u64, ppa));
@@ -910,41 +794,19 @@ impl IndexBackend for RhikIndex {
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
     ) -> Result<(), IndexError> {
-        for slot in 0..self.dir.len() as u32 {
-            if self.dir.entry(slot).records > 0 {
-                let (table, _) = self.load_table(ftl, slot)?;
-                for (sig, ppa) in table.iter() {
-                    visit(sig, ppa);
-                }
-            }
-            if self.dir.entry(slot).overflow_records > 0 {
-                let (overflow, _) = self.load_overflow(ftl, slot)?;
-                for (sig, ppa) in overflow.iter() {
-                    visit(sig, ppa);
-                }
-            }
-        }
         // Mid-migration, records of un-split slots still live in the
         // frozen old tables (their new-directory entries are empty).
-        let mut pending: Vec<(u64, Option<Ppa>)> = Vec::new();
-        if let Some(m) = &self.migration {
-            for slot in 0..m.old.len() as u32 {
-                if m.is_split(slot) {
-                    continue;
+        let keys: Vec<u64> = self
+            .live_tables()
+            .filter(|&(key, _)| self.table_len(key) > 0)
+            .map(|(key, _)| key)
+            .collect();
+        let (records, hop_width) = self.table_shape();
+        for key in keys {
+            if let Some((page, _)) = self.fetch_page(ftl, key)? {
+                for (sig, ppa) in RecordTable::view(&page[..], records, hop_width, 0).iter() {
+                    visit(sig, ppa);
                 }
-                let e = m.old.entry(slot);
-                if e.records > 0 {
-                    pending.push((m.old.cache_key(slot), e.table_ppa));
-                }
-                if e.overflow_records > 0 {
-                    pending.push((OVERFLOW_KEY | m.old.cache_key(slot), e.overflow_ppa));
-                }
-            }
-        }
-        for (key, ppa) in pending {
-            let (table, _) = self.load_any_table(ftl, key, ppa)?;
-            for (sig, ppa) in table.iter() {
-                visit(sig, ppa);
             }
         }
         Ok(())
@@ -966,59 +828,17 @@ impl IndexBackend for RhikIndex {
             }
             return Ok(None);
         }
-        let is_overflow = key & OVERFLOW_KEY != 0;
-        let key = key & !OVERFLOW_KEY;
-        if !self.dir.is_current_key(key) {
-            // A still-live old-generation page of an un-split slot must be
-            // moved and its frozen-directory entry repointed.
-            let old_current = match &self.migration {
-                Some(m) if m.old.is_current_key(key) => {
-                    let slot = Directory::slot_of_key(key);
-                    if m.is_split(slot) {
-                        None
-                    } else if is_overflow {
-                        m.old.entry(slot).overflow_ppa
-                    } else {
-                        m.old.entry(slot).table_ppa
-                    }
-                }
-                _ => None,
-            };
-            if old_current != Some(old) {
-                return Ok(None);
-            }
-            let bytes = ftl.read_index_page(old)?;
-            self.stats.metadata_flash_reads += 1;
-            let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
-            self.stats.metadata_flash_programs += 1;
-            let slot = Directory::slot_of_key(key);
-            let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
-            if is_overflow {
-                entry.overflow_ppa = Some(new_ppa);
-            } else {
-                entry.table_ppa = Some(new_ppa);
-            }
-            ftl.retire_index_page(old, page_size);
-            return Ok(Some(new_ppa));
-        }
-        let slot = Directory::slot_of_key(key);
-        let current = if is_overflow {
-            self.dir.entry(slot).overflow_ppa
-        } else {
-            self.dir.entry(slot).table_ppa
-        };
-        if current != Some(old) {
-            return Ok(None); // already moved elsewhere
+        // A still-live old-generation page of an un-split slot is moved
+        // like a current one, its frozen-directory entry repointed.
+        if self.table_ppa(key) != Some(old) {
+            return Ok(None); // already moved elsewhere, or retired
         }
         let bytes = ftl.read_index_page(old)?;
         self.stats.metadata_flash_reads += 1;
         let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
-        let entry = self.dir.entry_mut(slot);
-        if is_overflow {
-            entry.overflow_ppa = Some(new_ppa);
-        } else {
-            entry.table_ppa = Some(new_ppa);
+        if let Some(entry) = self.entry_of_mut(key) {
+            *entry.page_ppa_mut(key & OVERFLOW_KEY != 0) = Some(new_ppa);
         }
         ftl.retire_index_page(old, page_size);
         Ok(Some(new_ppa))

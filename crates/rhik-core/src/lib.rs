@@ -24,9 +24,11 @@ mod directory;
 mod index;
 mod record;
 mod resize;
+mod store;
 
 pub use bucket::{RecordTable, TableInsert};
 pub use config::RhikConfig;
 pub use directory::{DirEntry, Directory};
 pub use index::RhikIndex;
 pub use record::IndexRecord;
+pub use store::TableStore;

@@ -44,6 +44,7 @@ use rhik_nand::NandOp;
 use crate::bucket::{RecordTable, TableInsert};
 use crate::directory::Directory;
 use crate::index::{RhikIndex, OVERFLOW_KEY};
+use crate::store::TableStore;
 
 /// An in-flight incremental doubling.
 pub(crate) struct Migration {
@@ -222,7 +223,7 @@ pub(crate) fn step(
     }
     if m.finalized {
         debug_assert_eq!(m.migrated, m.keys_before, "resize lost records");
-        idx.stats_mut().resizes.push(m.event());
+        idx.index_stats_mut().resizes.push(m.event());
         idx.resize_deferred = false;
     } else {
         idx.migration = Some(m);
@@ -286,62 +287,54 @@ fn split_one(
         return Err(IndexError::NeedsGc);
     }
 
-    let records_per_table = idx.records_per_table();
-    let hop_width = idx.config().hop_width;
+    let (records_per_table, hop_width) = idx.table_shape();
     let old_bits = m.old.bits();
     let old_key = m.old.cache_key(slot);
-    let entry = *m.old.entry(slot);
+    let has_overflow = m.old.entry(slot).has_overflow;
 
     // Fetch the old table (and its hyper-local overflow, if any): cache
     // first (old-generation keys), flash next. Read non-destructively —
     // the cached copy may be the only up-to-date one, and it must survive
     // if a successor write fails below.
-    let fetch = |ftl: &mut Ftl,
-                 idx: &mut RhikIndex,
-                 cache_key: u64,
-                 ppa: Option<rhik_nand::Ppa>|
-     -> Result<Option<RecordTable>, IndexError> {
-        if let Some(bytes) = ftl.cache().get(cache_key) {
-            return Ok(Some(RecordTable::from_page(&bytes, records_per_table, hop_width)));
+    let mut old_pages = Vec::with_capacity(2);
+    for overflow in [false, true] {
+        if overflow && !has_overflow {
+            continue;
         }
-        match ppa {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                idx.stats_mut().metadata_flash_reads += 1;
-                Ok(Some(RecordTable::from_page(&bytes, records_per_table, hop_width)))
-            }
-            None => Ok(None),
+        let key = if overflow { OVERFLOW_KEY | old_key } else { old_key };
+        if let Some(page) = ftl.cache().get(key) {
+            old_pages.push(page);
+        } else if let Some(ppa) = m.old.entry(slot).page_ppa(overflow) {
+            old_pages.push(ftl.read_index_page(ppa)?);
+            idx.index_stats_mut().metadata_flash_reads += 1;
         }
-    };
-    let table = fetch(ftl, idx, old_key, entry.table_ppa)?;
-    let overflow = if entry.has_overflow {
-        fetch(ftl, idx, OVERFLOW_KEY | old_key, entry.overflow_ppa)?
-    } else {
-        None
-    };
-    if table.is_none() && overflow.is_none() {
+    }
+    if old_pages.is_empty() {
         debug_assert_eq!(
-            entry.total_records(),
+            m.old.entry(slot).total_records(),
             0,
             "pageless directory entry must count no records"
         );
         return Ok(());
     }
 
-    // Split by the new low bit, re-homing every record by signature.
-    // Overflow records fold back into the halved primaries where they
-    // fit; if hopscotch clustering rejects a record mid-migration, it
-    // goes to a fresh overflow table for the target slot — the resize
-    // must never fail half-done.
+    // Split by the new low bit, re-homing every record by signature into
+    // successor tables built directly as page images. Overflow records
+    // fold back into the halved primaries where they fit; if hopscotch
+    // clustering rejects a record mid-migration, it goes to a fresh
+    // overflow table for the target slot — the resize must never fail
+    // half-done.
     let (lo_slot, hi_slot) = Directory::split_targets(slot, old_bits);
-    let mut lo = RecordTable::new(records_per_table, hop_width);
-    let mut hi = RecordTable::new(records_per_table, hop_width);
+    let blank = || RecordTable::blank(page_size, records_per_table, hop_width);
+    let (mut lo, mut hi) = (blank(), blank());
     let mut lo_ovf: Option<RecordTable> = None;
     let mut hi_ovf: Option<RecordTable> = None;
     let mut moved = 0u64;
-    for (sig, ppa) in
-        table.iter().flat_map(|t| t.iter()).chain(overflow.iter().flat_map(|t| t.iter()))
-    {
+    let old_tables: Vec<_> = old_pages
+        .iter()
+        .map(|page| RecordTable::view(&page[..], records_per_table, hop_width, 0))
+        .collect();
+    for (sig, ppa) in old_tables.iter().flat_map(|t| t.iter()) {
         let target_slot = idx.directory().slot_of(sig);
         debug_assert!(
             target_slot == lo_slot || target_slot == hi_slot,
@@ -353,8 +346,7 @@ fn split_one(
             TableInsert::Inserted => moved += 1,
             TableInsert::Updated { .. } => unreachable!("signatures unique within a table"),
             TableInsert::Full => {
-                let ovf = target_ovf
-                    .get_or_insert_with(|| RecordTable::new(records_per_table, hop_width));
+                let ovf = target_ovf.get_or_insert_with(blank);
                 match ovf.insert(sig, ppa) {
                     TableInsert::Inserted => moved += 1,
                     TableInsert::Updated { .. } => {
@@ -376,26 +368,27 @@ fn split_one(
         }
     }
 
-    // Persist the successors immediately (streamed migration). Replacing
-    // (and retiring) any existing successor pointer makes a retry after a
-    // mid-slot flash failure clean: the losing attempt's pages go stale.
+    // Persist the successors immediately (streamed migration); a table's
+    // page image is its encoding. Replacing (and retiring) any existing
+    // successor pointer makes a retry after a mid-slot flash failure
+    // clean: the losing attempt's pages go stale.
     for (new_slot, new_table, new_ovf) in [(lo_slot, lo, lo_ovf), (hi_slot, hi, hi_ovf)] {
         if !new_table.is_empty() {
-            let page = new_table.to_page(page_size);
-            let ppa = ftl.write_index_page(page, SpareMeta::index_page())?;
-            idx.stats_mut().metadata_flash_programs += 1;
+            let records = new_table.len();
+            let ppa = ftl.write_index_page(new_table.into_page(), SpareMeta::index_page())?;
+            idx.index_stats_mut().metadata_flash_programs += 1;
             let entry = idx.dir_mut().entry_mut(new_slot);
-            entry.records = new_table.len();
+            entry.records = records;
             if let Some(prev) = entry.table_ppa.replace(ppa) {
                 ftl.retire_index_page(prev, page_size as u64);
             }
         }
         if let Some(ovf) = new_ovf {
-            let page = ovf.to_page(page_size);
-            let ppa = ftl.write_index_page(page, SpareMeta::index_page())?;
-            idx.stats_mut().metadata_flash_programs += 1;
+            let records = ovf.len();
+            let ppa = ftl.write_index_page(ovf.into_page(), SpareMeta::index_page())?;
+            idx.index_stats_mut().metadata_flash_programs += 1;
             let entry = idx.dir_mut().entry_mut(new_slot);
-            entry.overflow_records = ovf.len();
+            entry.overflow_records = records;
             entry.has_overflow = true;
             if let Some(prev) = entry.overflow_ppa.replace(ppa) {
                 ftl.retire_index_page(prev, page_size as u64);
@@ -406,11 +399,12 @@ fn split_one(
     // Retire the old pages for the garbage collector ("the flash pages
     // containing the old index records are marked stale", §IV-A2), and
     // drop their now-dead cached copies.
+    let entry = *m.old.entry(slot);
     for old_ppa in [entry.table_ppa, entry.overflow_ppa].into_iter().flatten() {
         ftl.retire_index_page(old_ppa, page_size as u64);
     }
     ftl.cache().remove(old_key);
-    if entry.has_overflow {
+    if has_overflow {
         ftl.cache().remove(OVERFLOW_KEY | old_key);
     }
     m.migrated += moved;

@@ -146,16 +146,17 @@ proptest! {
         }
     }
 
-    /// Page serialization round-trips arbitrary table states.
+    /// A table's page image round-trips arbitrary table states: viewing
+    /// the bytes again sees the same records.
     #[test]
     fn table_page_roundtrip(keys in proptest::collection::hash_set(any::<u32>(), 0..40)) {
-        let mut t = RecordTable::new(60, 16);
+        let mut t = RecordTable::blank(60 * 17 + 7, 60, 16);
         for &k in &keys {
             let _ = t.insert(KeySignature(mix(k as u64)), Ppa::new(k % 100, k % 8));
         }
-        let page = t.to_page(60 * 17 + 7);
-        let back = RecordTable::from_page(&page, 60, 16);
-        prop_assert_eq!(back.len(), t.len());
+        let page = t.as_bytes().to_vec();
+        let back = RecordTable::view(&page[..], 60, 16, t.len());
+        prop_assert_eq!(back.iter().count() as u32, t.len());
         for (sig, ppa) in t.iter() {
             prop_assert_eq!(back.lookup(sig), Some(ppa));
         }

@@ -5,10 +5,12 @@
 //! immutable, cheaply-cloneable byte buffer backed by `Arc<[u8]>`.
 //! Clones share the allocation, exactly like upstream `Bytes` — the
 //! property the NAND model relies on ("reading hands back cheap clones").
+//! [`Bytes::try_into_mut`] and [`BytesMut::freeze`] round-trip a uniquely
+//! owned buffer through a mutable view without copying, as upstream's do.
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Reference-counted immutable byte buffer.
@@ -43,6 +45,75 @@ impl Bytes {
 
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.to_vec()
+    }
+
+    /// Convert into a [`BytesMut`] without copying if this is the only
+    /// handle to the allocation; otherwise hand `self` back unchanged.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        if Arc::get_mut(&mut self.data).is_some() {
+            Ok(BytesMut { data: self.data })
+        } else {
+            Err(self)
+        }
+    }
+}
+
+/// Uniquely owned, mutable byte buffer of fixed length (the shim covers
+/// in-place edits, not upstream's growable API).
+#[derive(PartialEq, Eq)]
+pub struct BytesMut {
+    /// Invariant: the only handle to this allocation, so
+    /// `Arc::get_mut` always succeeds.
+    data: Arc<[u8]>,
+}
+
+impl BytesMut {
+    /// A buffer of `len` zero bytes.
+    pub fn zeroed(len: usize) -> Self {
+        BytesMut { data: Arc::from(vec![0u8; len]) }
+    }
+
+    /// Make the buffer immutable and shareable, without copying.
+    pub fn freeze(self) -> Bytes {
+        Bytes { data: self.data }
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.data).expect("BytesMut is the only handle to its allocation")
+    }
+}
+
+impl AsRef<[u8]> for BytesMut {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl AsMut<[u8]> for BytesMut {
+    fn as_mut(&mut self) -> &mut [u8] {
+        self
+    }
+}
+
+impl From<&[u8]> for BytesMut {
+    fn from(s: &[u8]) -> Self {
+        BytesMut { data: Arc::from(s) }
+    }
+}
+
+impl fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BytesMut({} bytes)", self.data.len())
     }
 }
 
@@ -194,6 +265,25 @@ mod tests {
         assert!(!a.is_empty());
         assert!(Bytes::new().is_empty());
         assert_eq!(a.to_vec(), b"hello".to_vec());
+    }
+
+    #[test]
+    fn unique_buffers_round_trip_through_mut_without_copying() {
+        let a = Bytes::from(vec![1, 2, 3]);
+        let ptr = a.as_ptr();
+        let mut m = a.try_into_mut().expect("unique");
+        m[0] = 9;
+        let a = m.freeze();
+        assert_eq!(a, vec![9, 2, 3]);
+        assert_eq!(a.as_ptr(), ptr, "no copy");
+
+        let shared = a.clone();
+        let back = a.try_into_mut().expect_err("shared buffers stay immutable");
+        assert!(Arc::ptr_eq(&back.data, &shared.data));
+        let mut copy = BytesMut::from(&back[..]);
+        copy[1] = 0;
+        assert_eq!(shared, vec![9, 2, 3]);
+        assert_eq!(&BytesMut::zeroed(2)[..], &[0, 0]);
     }
 
     #[test]
