@@ -13,10 +13,16 @@
 //!
 //! Implemented from scratch as a slab-backed doubly-linked list + HashMap,
 //! O(1) for get/insert/remove.
+//!
+//! Each FTL keeps its cache behind a short lock ([`SharedPageCache`]) so
+//! the shard's lock-free readers can probe cached record pages in place.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
+
+use crate::sync::{Mutex, MutexGuard};
 
 const NIL: usize = usize::MAX;
 
@@ -319,6 +325,35 @@ impl IndexPageCache {
     }
 }
 
+/// One FTL's page cache behind its own short lock, shared by the FTL
+/// (which the shard lock serializes) and the shard's lock-free readers.
+/// Readers hold the lock for the probe of one page; writers hold it for
+/// an in-place update or an insert, never across a flash operation.
+#[derive(Clone, Debug)]
+pub struct SharedPageCache {
+    pages: Arc<Mutex<IndexPageCache>>,
+}
+
+impl SharedPageCache {
+    pub fn new(cache: IndexPageCache) -> Self {
+        SharedPageCache { pages: Arc::new(Mutex::new(cache)) }
+    }
+
+    pub fn lock(&self) -> MutexGuard<'_, IndexPageCache> {
+        // Every cache method leaves the LRU consistent before it can
+        // panic, so a poisoned cache is still a valid cache.
+        self.pages.lock().unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Run `probe` on the page under `key` where it lies, refreshing
+    /// recency and counting a hit or miss exactly as
+    /// [`IndexPageCache::get`] does. The buffer is not cloned, so a later
+    /// in-place update of the page never has to copy it.
+    pub fn probe<T>(&self, key: u64, probe: impl FnOnce(&[u8]) -> T) -> Option<T> {
+        self.lock().get_mut(key).map(|page| probe(&page[..]))
+    }
+}
+
 impl std::fmt::Debug for IndexPageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexPageCache")
@@ -362,6 +397,21 @@ mod tests {
         // 1 is now MRU, so inserting 3 evicts 2.
         assert_eq!(c.insert(3, page(3, 100), false)[0].key, 2);
         assert_eq!(c.peek(1).unwrap(), &page(7, 100));
+    }
+
+    #[test]
+    fn probe_reads_in_place_and_counts_like_get() {
+        let c = SharedPageCache::new(IndexPageCache::new(300));
+        assert_eq!(c.probe(1, |p| p.len()), None);
+        c.lock().insert(1, page(4, 100), false);
+        c.lock().insert(2, page(5, 100), false);
+        assert_eq!(c.probe(1, |p| p[0]), Some(4));
+        let stats = c.lock().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        // 1 is now MRU, so inserting two more evicts 2 first.
+        let evicted = c.lock().insert(3, page(6, 100), false);
+        assert!(evicted.is_empty());
+        assert_eq!(c.lock().insert(4, page(7, 100), false)[0].key, 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rhik_sigs::KeySignature;
 use rhik_telemetry::{Stage, StageEvent, TelemetrySink};
 
 use crate::alloc::{BlockAllocator, NeedsGc, Stream};
-use crate::cache::IndexPageCache;
+use crate::cache::{IndexPageCache, SharedPageCache};
 use crate::layout::{PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
 use crate::sync::{Mutex, MutexGuard};
 use crate::traits::TimedOp;
@@ -148,7 +148,9 @@ pub struct Ftl {
     geometry: NandGeometry,
     profile: DeviceProfile,
     alloc: BlockAllocator,
-    cache: IndexPageCache,
+    /// The index-page cache, behind its own lock so the shard's
+    /// lock-free readers can probe record pages (see [`Ftl::page_cache`]).
+    cache: SharedPageCache,
     stats: FtlStats,
     timed_ops: Vec<TimedOp>,
     telemetry: TelemetrySink,
@@ -177,7 +179,7 @@ impl Ftl {
             geometry: config.geometry,
             profile: config.profile,
             alloc: BlockAllocator::new(config.geometry, config.gc_reserve_blocks),
-            cache: IndexPageCache::new(config.cache_budget_bytes),
+            cache: SharedPageCache::new(IndexPageCache::new(config.cache_budget_bytes)),
             stats: FtlStats::default(),
             timed_ops: Vec::new(), // bounded-by: device drains it every op (drain_timed_ops)
             telemetry: TelemetrySink::disabled(),
@@ -202,7 +204,7 @@ impl Ftl {
             geometry: config.geometry,
             profile: config.profile,
             alloc: BlockAllocator::with_pool(config.geometry, pool),
-            cache: IndexPageCache::new(config.cache_budget_bytes),
+            cache: SharedPageCache::new(IndexPageCache::new(config.cache_budget_bytes)),
             stats: FtlStats::default(),
             timed_ops: Vec::new(), // bounded-by: device drains it every op (drain_timed_ops)
             telemetry: TelemetrySink::disabled(),
@@ -293,15 +295,24 @@ impl Ftl {
         self.nand_guard().stats()
     }
 
-    /// The shared index-page cache (Fig. 5's "SSD DRAM cache budget").
+    /// The index-page cache (Fig. 5's "SSD DRAM cache budget"), locked.
+    /// Drop the guard before the next FTL call: the lock is not
+    /// re-entrant.
     #[inline]
-    pub fn cache(&mut self) -> &mut IndexPageCache {
-        &mut self.cache
+    pub fn cache(&mut self) -> MutexGuard<'_, IndexPageCache> {
+        self.cache.lock()
     }
 
+    /// [`Ftl::cache`] for read-only callers.
     #[inline]
-    pub fn cache_ref(&self) -> &IndexPageCache {
-        &self.cache
+    pub fn cache_ref(&self) -> MutexGuard<'_, IndexPageCache> {
+        self.cache.lock()
+    }
+
+    /// A handle on this FTL's page cache for the shard's lock-free
+    /// readers.
+    pub fn page_cache(&self) -> SharedPageCache {
+        self.cache.clone()
     }
 
     /// Fault-injection handle (tests). Holds the media lock while the
@@ -552,8 +563,9 @@ impl Ftl {
     /// are lost, exactly as the paper's periodically-persisted metadata
     /// design implies.
     pub fn simulate_power_loss(&mut self) {
-        let budget = self.cache.budget_bytes();
-        self.cache = IndexPageCache::new(budget);
+        let mut cache = self.cache.lock();
+        *cache = IndexPageCache::new(cache.budget_bytes());
+        drop(cache);
         if let Some((head, _builder)) = self.data_builder.take() {
             // The buffered head records never reached flash; their bytes
             // (and the reserved head page) are dead weight until the block

@@ -345,6 +345,25 @@ pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
     Some(entries)
 }
 
+/// Append a `len`-byte value body, stored in consecutive pages from
+/// `start`, to `value`, fetching each page with `read`.
+pub fn append_body<E>(
+    value: &mut Vec<u8>,
+    start: Ppa,
+    len: usize,
+    mut read: impl FnMut(Ppa) -> Result<Bytes, E>,
+) -> Result<(), E> {
+    let end = value.len() + len;
+    let mut page = start.page;
+    while value.len() < end {
+        let body = read(Ppa::new(start.block, page))?;
+        let take = (end - value.len()).min(body.len());
+        value.extend_from_slice(&body[..take]);
+        page += 1;
+    }
+    Ok(())
+}
+
 /// Find the entry for `sig` in a head page.
 ///
 /// Entries are scanned newest-first: an update that lands in the same open

@@ -30,9 +30,11 @@ mod ftl;
 mod traits;
 
 pub use alloc::{AcquireClass, BlockMeta, NeedsGc, Stream};
-pub use cache::IndexPageCache;
+pub use cache::{IndexPageCache, SharedPageCache};
 pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, MediaReader, WrittenExtent};
 pub use gc::{GcConfig, GcPolicy, GcReport};
-pub use readview::{GenSnapshot, Lookup, ReadHit, ReadView};
+pub use readview::{GenSnapshot, ReadView, SlotRead, TableAddr};
 pub use sync::{FlashPool, VersionTable};
-pub use traits::{IndexBackend, IndexError, IndexStats, InsertOutcome, ResizeEvent, TimedOp};
+pub use traits::{
+    IndexBackend, IndexError, IndexStats, InsertOutcome, LookupTally, ResizeEvent, TimedOp,
+};

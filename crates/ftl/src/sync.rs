@@ -16,9 +16,9 @@
 //!   generation with one atomic swap and *retire* the old one, which is
 //!   reclaimed only once no reader can still be inside that window.
 //!   This is the lock-free read-path backbone (DESIGN.md §concurrency).
-//! * [`SeqLock`] / [`Counter`] — per-bucket version validation for
-//!   optimistic readers, and a relaxed statistics counter so hot paths
-//!   outside this module never touch a raw atomic directly.
+//! * [`SeqLock`] / [`SeqWord`] / [`Counter`] — per-slot version
+//!   validation for optimistic readers, and a relaxed statistics counter
+//!   so hot paths outside this module never touch a raw atomic directly.
 //!
 //! FlashPool correctness argument: the pool only ever hands out blocks in
 //! the erased state (initially, or released after an explicit erase), and
@@ -102,8 +102,7 @@ pub struct EpochDomain {
     epoch: AtomicU64,
     pins: [PinStripe; PIN_STRIPES],
     /// Retired objects awaiting a quiescent moment. Boxed as `Any` so one
-    /// domain can reclaim heterogeneous generations (directory snapshots
-    /// and bucket entry lists alike).
+    /// domain can reclaim generations of any type.
     garbage: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -329,6 +328,42 @@ impl SeqLock {
     }
 }
 
+/// A 64-bit word published under its own [`SeqLock`] (one directory slot
+/// of the lock-free read path): stored only inside the write bracket,
+/// read as `(version, word)` and validated after the optimistic work.
+#[derive(Debug, Default)]
+pub struct SeqWord {
+    seq: SeqLock,
+    word: AtomicU64,
+}
+
+impl SeqWord {
+    pub fn new(word: u64) -> Self {
+        SeqWord { seq: SeqLock::new(), word: AtomicU64::new(word) }
+    }
+
+    /// `Some((version, word))`, or `None` while a write is open.
+    pub fn read(&self) -> Option<(u64, u64)> {
+        let begin = self.seq.read_begin()?;
+        Some((begin, self.word.load(Ordering::SeqCst)))
+    }
+
+    /// True iff no write bracket opened since `read` returned `version`.
+    pub fn validate(&self, version: u64) -> bool {
+        self.seq.read_validate(version)
+    }
+
+    pub fn write_begin(&self) {
+        self.seq.write_begin();
+    }
+
+    /// Store `word` and close the write bracket.
+    pub fn write_end(&self, word: u64) {
+        self.word.store(word, Ordering::SeqCst);
+        self.seq.write_end();
+    }
+}
+
 // -------------------------------------------------------- version table
 
 /// Striped per-bucket invalidation versions for the DRAM hot-object
@@ -336,8 +371,8 @@ impl SeqLock {
 ///
 /// Every value mutation reaching the index — put, in-place update,
 /// delete, GC relocation — bumps the version of the signature's stripe
-/// *after* the mutation is applied (the index calls it from the same
-/// funnel points that keep the [`crate::ReadView`] coherent). A cache
+/// *after* the mutation is applied (the index's insert and remove
+/// funnels, which GC relocation also goes through). A cache
 /// fill reads the stripe version *before* fetching the value and stores
 /// the entry tagged with that version; a cached entry is served only
 /// while its fill version still equals the stripe's current version.
@@ -433,6 +468,16 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// Read the value and reset it to zero in one step (a plain load
+    /// when it is already zero, so idle counters cost no write).
+    #[inline]
+    pub fn take(&self) -> u64 {
+        if self.get() == 0 {
+            return 0;
+        }
+        self.0.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -713,6 +758,21 @@ mod tests {
         assert_eq!(c.get(), 10);
         c.note_max(2);
         assert_eq!(c.get(), 10);
+        assert_eq!((c.take(), c.take()), (10, 0));
+    }
+
+    #[test]
+    fn seqword_publishes_the_word_its_bracket_closed_with() {
+        let w = SeqWord::new(7);
+        let (version, word) = w.read().expect("no writer active");
+        assert_eq!(word, 7);
+        w.write_begin();
+        assert!(w.read().is_none(), "open bracket turns readers away");
+        w.write_end(9);
+        assert!(!w.validate(version));
+        let (version, word) = w.read().unwrap();
+        assert_eq!(word, 9);
+        assert!(w.validate(version));
     }
 
     #[test]

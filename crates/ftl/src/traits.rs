@@ -4,6 +4,7 @@ use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
 use crate::ftl::Ftl;
+use crate::sync::Counter;
 
 /// A flash operation tagged with the channel it occupies and its media
 /// duration — the unit the async engine schedules.
@@ -143,6 +144,41 @@ impl IndexStats {
     }
 }
 
+/// Lookups served outside the index's `&mut` methods (the lock-free read
+/// path), counted with relaxed atomics and folded into [`IndexStats`] by
+/// [`IndexStats::absorb`].
+#[derive(Debug, Default)]
+pub struct LookupTally {
+    metadata_flash_reads: Counter,
+    reads_per_lookup_histo: [Counter; 16],
+}
+
+impl LookupTally {
+    /// Record one completed lookup that needed `reads` flash reads.
+    pub fn note(&self, reads: u64) {
+        let bucket = (reads as usize).min(self.reads_per_lookup_histo.len() - 1);
+        self.reads_per_lookup_histo[bucket].incr();
+        self.metadata_flash_reads.add(reads);
+    }
+}
+
+impl IndexStats {
+    /// Move the lookups `tally` counted so far into these stats.
+    pub fn absorb(&mut self, tally: &LookupTally) {
+        self.metadata_flash_reads += tally.metadata_flash_reads.take();
+        for (reads, (acc, n)) in
+            self.reads_per_lookup_histo.iter_mut().zip(&tally.reads_per_lookup_histo).enumerate()
+        {
+            let n = n.take();
+            *acc += n;
+            self.lookups += n;
+            if reads == 0 {
+                self.zero_flash_lookups += n;
+            }
+        }
+    }
+}
+
 /// The contract between the KVSSD firmware and an indexing scheme.
 ///
 /// Implementations: `rhik-core`'s `RhikIndex` (the paper's contribution),
@@ -260,22 +296,10 @@ pub trait IndexBackend {
         Err(IndexError::Unsupported("scan_records"))
     }
 
-    /// Attach a generation-published [`ReadView`](crate::readview::ReadView)
-    /// for this index to mirror: every `sig → head PPA` change (insert,
-    /// update, delete, GC relocation) must be reflected into the view,
-    /// and a directory doubling must publish a new view generation, so
-    /// the device's lock-free get path stays coherent.
-    ///
-    /// Returns `true` iff the backend accepted the view and will keep it
-    /// coherent from now on — a backend may only accept while it is
-    /// empty (the view starts empty, so attaching to a populated index
-    /// would let lock-free lookups miss live keys). The default (no
-    /// mirroring, `false`) is correct for backends without lock-free
-    /// read support: the device keeps every get on the locked path.
-    fn attach_read_view(&mut self, view: std::sync::Arc<crate::readview::ReadView>) -> bool {
-        let _ = view;
-        false
-    }
+    /// Fold statistics gathered outside the index's `&mut` methods (the
+    /// lock-free readers' lookups) into [`stats`](Self::stats). Callers
+    /// that observe the stats from outside a command call this first.
+    fn sync_stats(&mut self) {}
 
     /// Attach a [`VersionTable`](crate::sync::VersionTable) for the hot
     /// object cache tier's invalidation protocol: the backend must bump
@@ -285,11 +309,11 @@ pub trait IndexBackend {
     /// bump.
     ///
     /// Returns `true` iff the backend accepted the table and will bump
-    /// it from now on. Unlike [`attach_read_view`](Self::attach_read_view)
-    /// this is safe at any point in the index's life: versions are
-    /// compared only for equality against a fill-time read, so starting
-    /// from zero mid-stream merely means pre-attach history is invisible
-    /// — and there are no cache entries from before the attach. The
+    /// it from now on. This is safe at any point in the index's life:
+    /// versions are compared only for equality against a fill-time read,
+    /// so starting from zero mid-stream merely means pre-attach history
+    /// is invisible — and there are no cache entries from before the
+    /// attach. The
     /// default (`false`) is correct for backends without cache support:
     /// the device then refuses to enable the cache tier.
     fn attach_versions(&mut self, versions: std::sync::Arc<crate::sync::VersionTable>) -> bool {
@@ -325,6 +349,21 @@ mod tests {
         s.note_lookup_reads(2);
         assert_eq!(s.zero_flash_lookups, 2);
         assert!((s.pct_lookups_within(0) - 66.66).abs() < 0.1);
+    }
+
+    #[test]
+    fn absorbed_tally_counts_like_noted_lookups() {
+        let tally = LookupTally::default();
+        tally.note(0);
+        tally.note(1);
+        tally.note(1);
+        let mut s = IndexStats::default();
+        s.note_lookup_reads(0);
+        s.absorb(&tally);
+        assert_eq!((s.lookups, s.zero_flash_lookups, s.metadata_flash_reads), (3, 2, 2));
+        assert_eq!(&s.reads_per_lookup_histo[..3], &[2, 2, 0]);
+        s.absorb(&tally);
+        assert_eq!(s.lookups, 3, "absorbing drains the tally");
     }
 
     #[test]

@@ -1,18 +1,19 @@
 #![cfg(loom)]
 //! Loom models of the lock-free read-path primitives: epoch-based
-//! reclamation ([`EpochDomain`] + [`GenCell`]), the per-bucket
-//! [`SeqLock`], and the generation-published [`ReadView`] they compose
-//! into. These pin down the protocol the sharded device's lock-free get
-//! relies on: a validated read observed a stable published state, and
+//! reclamation ([`EpochDomain`] + [`GenCell`]), the [`SeqLock`], and the
+//! per-slot seqlock protocol of the published directory ([`ReadView`])
+//! they compose into. These pin down what the sharded device's lock-free
+//! get relies on: a validated read observed a stable published state —
+//! no record update, table write-back or doubling overlapped it — and
 //! retired generations are reclaimed only after every reader unpinned.
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p rhik-ftl --release loom_`
 
-use loom::sync::Arc;
+use loom::sync::{Arc, Mutex};
 use loom::thread;
 use rhik_ftl::sync::atomic::{AtomicU64, Ordering};
 use rhik_ftl::sync::{EpochDomain, GenCell, SeqLock};
-use rhik_ftl::{Lookup, ReadView};
+use rhik_ftl::{GenSnapshot, ReadView, TableAddr};
 use rhik_nand::Ppa;
 
 /// A `GenCell` load racing publishes returns some *whole* published
@@ -147,111 +148,205 @@ fn loom_seqlock_readers_never_validate_torn_writes() {
     });
 }
 
-/// Lock-free lookups racing a directory doubling are linearizable: a hit
-/// always carries the (never-changing) correct head, a key present
-/// before the doubling never reports a validated miss, and the doubled
-/// view still holds every mapping afterwards.
-#[test]
-fn loom_readview_lookup_during_doubling_never_lies() {
-    loom::model(|| {
-        let view = Arc::new(ReadView::new(1));
-        for sig in 0..8u64 {
-            view.upsert(sig, Ppa::new(sig as u32, 1));
-        }
-
-        let readers: Vec<_> = (0..2)
-            .map(|t| {
-                let view = Arc::clone(&view);
-                thread::spawn(move || {
-                    for round in 0..6u64 {
-                        let sig = (t + 3 * round) % 8;
-                        match view.lookup(sig) {
-                            Lookup::Hit(h) => {
-                                assert_eq!(h.head, Ppa::new(sig as u32, 1), "hit wrong head");
-                                // With no writer touching this mapping a
-                                // validated hit may or may not survive the
-                                // doubling's bucket poisoning; either
-                                // answer of validate() is legal here.
-                                let _ = h.validate();
-                            }
-                            Lookup::Miss => panic!("validated miss for live key {sig}"),
-                            Lookup::Contended => {} // falls back to locked path
-                        }
-                    }
-                })
-            })
-            .collect();
-        let doubler = {
-            let view = Arc::clone(&view);
-            thread::spawn(move || {
-                for bits in [2u32, 3] {
-                    view.publish_generation(bits);
-                }
-            })
-        };
-
-        for r in readers {
-            r.join().unwrap();
-        }
-        doubler.join().unwrap();
-        view.domain().quiesce();
-        assert_eq!(view.entry_count(), 8);
-        for sig in 0..8u64 {
-            match view.lookup(sig) {
-                Lookup::Hit(h) => {
-                    assert_eq!(h.head, Ppa::new(sig as u32, 1));
-                    assert!(h.validate(), "quiet post-doubling lookup must validate");
-                }
-                _ => panic!("mapping {sig} lost across doubling"),
-            }
-        }
-    });
+/// The world one directory slot's readers see: the page cache's copy of
+/// the slot's record table (its one record's head page), record tables
+/// on flash, and data pages on flash. `GARBAGE` marks erased media.
+struct Slot {
+    view: ReadView,
+    cache: Mutex<Option<u64>>,
+    tables: [AtomicU64; 3],
+    data: [AtomicU64; 4],
+    started: AtomicU64,
 }
 
-/// A validated hit racing an in-place update observes only published
-/// states: the old head or the new one, never a mix — and after a
-/// remove, a quiet lookup reports a miss.
-#[test]
-fn loom_readview_update_is_linearizable() {
-    loom::model(|| {
-        let view = Arc::new(ReadView::new(2));
-        let old = Ppa::new(1, 1);
-        let new = Ppa::new(2, 2);
-        view.upsert(9, old);
+const GARBAGE: u64 = u64::MAX;
 
+impl Slot {
+    fn new(view: ReadView, cache: Option<u64>, tables: [u64; 3], data: [u64; 4]) -> Self {
+        Slot {
+            view,
+            cache: Mutex::new(cache),
+            tables: tables.map(AtomicU64::new),
+            data: data.map(AtomicU64::new),
+            started: AtomicU64::new(0),
+        }
+    }
+
+    /// Line the writer and the reader up so their steps overlap.
+    fn start(&self) {
+        self.started.fetch_add(1, Ordering::SeqCst);
+        while self.started.load(Ordering::SeqCst) < 2 {
+            thread::yield_now();
+        }
+    }
+
+    /// One lock-free get of signature 0, as the device runs it: slot,
+    /// record page (cache, else flash), data page, validate. `Some` only
+    /// for a validated read.
+    fn get(&self) -> Option<u64> {
+        let read = self.view.begin(0)?;
+        let head = match (read.addr, *self.cache.lock().unwrap()) {
+            (TableAddr::Empty | TableAddr::Unavailable, _) => return None,
+            (_, Some(head)) => head,
+            (TableAddr::Flash(ppa), None) => self.tables[ppa.page as usize].load(Ordering::SeqCst),
+            (TableAddr::Cached, None) => return None,
+        };
+        thread::yield_now();
+        let value = match self.data.get(head as usize) {
+            Some(page) => page.load(Ordering::SeqCst),
+            None => GARBAGE,
+        };
+        read.validate().then_some(value)
+    }
+}
+
+fn one_slot(addr: TableAddr) -> ReadView {
+    ReadView::new(GenSnapshot::new(0, 0, [addr]))
+}
+
+/// A probe that overlaps an in-place record update never validates: the
+/// update writes the new pair, repoints the cached record inside the
+/// slot's bracket, and garbage collection then erases the old pair — a
+/// reader that probed the old record must not return its erased page.
+#[test]
+fn loom_slot_probe_never_validates_across_a_record_mutation() {
+    loom::model(|| {
+        let slot = Arc::new(Slot::new(
+            one_slot(TableAddr::Flash(Ppa::new(0, 0))),
+            Some(1),
+            [1, GARBAGE, GARBAGE],
+            [GARBAGE, 10, GARBAGE, GARBAGE],
+        ));
         let writer = {
-            let view = Arc::clone(&view);
+            let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                view.upsert(9, new); // GC relocation / update
+                let gen = slot.view.snapshot();
+                slot.start();
+                for new in 2..4u64 {
+                    slot.data[new as usize].store(10 * new, Ordering::SeqCst);
+                    gen.write_begin(0);
+                    *slot.cache.lock().unwrap() = Some(new);
+                    gen.write_end(0, TableAddr::Cached);
+                    thread::yield_now();
+                    slot.data[new as usize - 1].store(GARBAGE, Ordering::SeqCst);
+                }
             })
         };
         let reader = {
-            let view = Arc::clone(&view);
+            let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                for _ in 0..4 {
-                    match view.lookup(9) {
-                        Lookup::Hit(h) => {
-                            if h.validate() {
-                                assert!(
-                                    h.head == old || h.head == new,
-                                    "validated hit carries unpublished head {:?}",
-                                    h.head
-                                );
-                            }
-                        }
-                        Lookup::Miss => panic!("key 9 never absent"),
-                        Lookup::Contended => {}
+                slot.start();
+                for _ in 0..6 {
+                    if let Some(value) = slot.get() {
+                        assert!(value != GARBAGE, "validated read returned an erased page");
                     }
                 }
             })
         };
         writer.join().unwrap();
         reader.join().unwrap();
+        assert_eq!(slot.get(), Some(30), "a quiet read after the update must validate");
+    });
+}
 
-        view.remove(9);
-        assert!(matches!(view.lookup(9), Lookup::Miss), "removed key still resolves");
-        view.domain().quiesce();
-        view.domain().try_reclaim();
-        assert_eq!(view.domain().garbage_len(), 0);
+/// A dirty record page is published as cache-only, so a reader that
+/// misses it while it is being written back falls back instead of
+/// reading the stale flash copy; once the write-back publishes the new
+/// table, reads validate again.
+#[test]
+fn loom_slot_probe_never_validates_across_a_write_back() {
+    loom::model(|| {
+        // The update to value 20 committed before the reader started:
+        // the flash table still names the old pair, the cache the new.
+        let slot = Arc::new(Slot::new(
+            one_slot(TableAddr::Cached),
+            Some(2),
+            [1, GARBAGE, GARBAGE],
+            [GARBAGE, 10, 20, GARBAGE],
+        ));
+        let writer = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                let gen = slot.view.snapshot();
+                slot.start();
+                let page = slot.cache.lock().unwrap().take().expect("dirty page cached");
+                thread::yield_now();
+                slot.tables[1].store(page, Ordering::SeqCst);
+                gen.write_begin(0);
+                gen.write_end(0, TableAddr::Flash(Ppa::new(0, 1)));
+            })
+        };
+        let reader = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                slot.start();
+                for _ in 0..6 {
+                    if let Some(value) = slot.get() {
+                        assert_eq!(value, 20, "validated read returned a superseded value");
+                    }
+                }
+            })
+        };
+        writer.join().unwrap();
+        reader.join().unwrap();
+        assert_eq!(slot.get(), Some(20), "written-back table must be readable");
+    });
+}
+
+/// A doubling withdraws the old slot before its records move, publishes
+/// the new slot array, and only then lets mutations and garbage
+/// collection touch what the old generation pointed at: a reader still
+/// holding the old generation never validates after that.
+#[test]
+fn loom_slot_probe_never_validates_across_a_doubling() {
+    loom::model(|| {
+        let slot = Arc::new(Slot::new(
+            one_slot(TableAddr::Flash(Ppa::new(0, 0))),
+            None,
+            [1, GARBAGE, GARBAGE],
+            [GARBAGE, 10, GARBAGE, GARBAGE],
+        ));
+        let writer = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                let old = slot.view.snapshot();
+                slot.start();
+                old.write_begin(0);
+                old.write_end(0, TableAddr::Unavailable);
+                slot.tables[1].store(1, Ordering::SeqCst); // the split copy
+                let next = GenSnapshot::new(
+                    1 << 32,
+                    1,
+                    [TableAddr::Flash(Ppa::new(0, 1)), TableAddr::Empty],
+                );
+                slot.view.publish(next);
+                let next = slot.view.snapshot();
+                thread::yield_now();
+                // A put in the doubled directory, then GC of the old
+                // table and the superseded pair.
+                slot.data[2].store(20, Ordering::SeqCst);
+                next.write_begin(0);
+                slot.tables[1].store(2, Ordering::SeqCst);
+                next.write_end(0, TableAddr::Flash(Ppa::new(0, 1)));
+                slot.tables[0].store(GARBAGE, Ordering::SeqCst);
+                slot.data[1].store(GARBAGE, Ordering::SeqCst);
+            })
+        };
+        let reader = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                slot.start();
+                for _ in 0..6 {
+                    if let Some(value) = slot.get() {
+                        assert!(value == 10 || value == 20, "validated read saw {value:#x}");
+                    }
+                }
+            })
+        };
+        writer.join().unwrap();
+        reader.join().unwrap();
+        assert_eq!(slot.get(), Some(20));
+        slot.view.domain().quiesce();
+        assert_eq!(slot.view.domain().garbage_len(), 0, "retired generation leaked");
     });
 }

@@ -40,7 +40,7 @@ fn loom_fill_race_never_caches_stale_under_current_version() {
                 for v in 2..=3u64 {
                     // Bump-after-mutate: the index changes first, then
                     // the version — exactly the order the RHIK index's
-                    // note_view_upsert/remove hooks use.
+                    // insert and remove funnels use.
                     index.store(v, Ordering::SeqCst);
                     versions.bump(SIG);
                 }

@@ -112,7 +112,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
             }
             let Some((sig, head, prefix)) = self.iter_peek(handle)? else { break };
             self.iter_advance(handle)?;
-            if let Some((stored_key, _v, _)) = self.read_pair_public(sig, head)? {
+            if let Some((stored_key, _, _)) = self.read_head(sig, head)? {
                 if stored_key.starts_with(&prefix) {
                     out.push(stored_key);
                 }

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex, SimpleHashIndex};
 use rhik_core::RhikIndex;
-use rhik_ftl::layout::{self, PairEntry};
+use rhik_ftl::layout;
 use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, IndexError, WrittenExtent};
 use rhik_nand::{NandError, Ppa};
 use rhik_sigs::{KeySignature, SigHasher};
@@ -189,6 +189,44 @@ impl KvssdDevice<RhikIndex> {
         (flash, index, gauges)
     }
 
+    /// A lock-free reader over this device's index (see
+    /// [`RhikIndex::reader`]).
+    pub fn index_reader(&mut self) -> rhik_core::IndexReader {
+        self.index.reader(&self.ftl)
+    }
+
+    /// The value `key` resolves to through directory → record page →
+    /// head page → continuation pages, observed without charging a read
+    /// or moving any cache or statistic — the cache-coherence audit's
+    /// ground truth. `Some(None)`: the index holds no pair for `key`.
+    /// `None`: a page on the chain could not be observed.
+    pub fn audit_read(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        let sig = self.sign(key);
+        let Some(head) = self.index.peek_lookup(&self.ftl, sig)? else {
+            return Some(None);
+        };
+        let (stored_key, frag, cont_start, cont_bytes) = if Some(head) == self.ftl.pending_head() {
+            let (key, frag) = self.ftl.pending_pair(sig)?;
+            let extent = self.ftl.pending_extent(sig)?;
+            (key, frag, extent.cont_start, extent.cont_bytes as usize)
+        } else {
+            let (data, _) = self.ftl.peek_page(head)?;
+            let e = layout::find_in_head(&data, self.ftl.geometry().page_size as usize, sig)?;
+            (e.key, e.value_frag, e.cont_start, (e.val_total_len - e.frag_len) as usize)
+        };
+        if stored_key != key {
+            return Some(None); // signature collision: this key is absent
+        }
+        let mut value = frag.to_vec();
+        if cont_bytes > 0 {
+            layout::append_body(&mut value, cont_start?, cont_bytes, |ppa| {
+                self.ftl.peek_page(ppa).map(|(page, _)| page).ok_or(())
+            })
+            .ok()?;
+        }
+        Some(Some(value))
+    }
+
     /// Run the full cross-layer audit on this device's current state.
     /// `auditor` carries cursor watermarks across calls, so repeated
     /// audits additionally verify migration-cursor monotonicity.
@@ -278,19 +316,16 @@ impl<I: IndexBackend> KvssdDevice<I> {
         &self.engine
     }
 
-    /// A cloneable handle that reads record pages through the narrow
-    /// media lock, bypassing this device's command mutex (the sharded
-    /// lock-free get path).
+    /// A cloneable handle that reads pages through the narrow media
+    /// lock, bypassing this device's command mutex.
     pub fn media_reader(&self) -> rhik_ftl::MediaReader {
         self.ftl.media_reader()
     }
 
-    /// Offer a generation-published read view to the index backend.
-    /// Returns `true` iff the backend accepted it and will keep it
-    /// coherent (backends may only accept while empty); `false` leaves
-    /// every get on the locked path.
-    pub fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
-        self.index.attach_read_view(view)
+    /// Fold statistics the index gathered outside commands (lock-free
+    /// lookups) into [`KvssdDevice::index`]'s stats.
+    pub fn sync_index_stats(&mut self) {
+        self.index.sync_stats();
     }
 
     /// Offer the hot-object cache tier's invalidation version table to
@@ -600,80 +635,58 @@ impl<I: IndexBackend> KvssdDevice<I> {
         Ok(progressed)
     }
 
-    /// Read the full pair stored at `head` for `sig` (write buffer aware).
-    /// Returns the key, value, and the pair's on-flash extent (for
-    /// staleness accounting on update/delete).
-    fn read_pair(
+    /// The head record stored at `head` for `sig` (write buffer aware):
+    /// the key, the value fragment the head page carries, and the pair's
+    /// extent (for staleness accounting on update/delete). Reads at most
+    /// the head page.
+    pub(crate) fn read_head(
         &mut self,
         sig: KeySignature,
         head: Ppa,
     ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
         if Some(head) == self.ftl.pending_head() {
-            if let (Some((k, frag)), Some(extent)) =
-                (self.ftl.pending_pair(sig), self.ftl.pending_extent(sig))
-            {
-                // The head fragment is in the DRAM buffer; the body (if
-                // any) is already on flash and costs real reads.
-                let mut value = frag.to_vec();
-                if let Some(start) = extent.cont_start {
-                    let mut remaining = extent.cont_bytes as usize;
-                    let mut i = 0;
-                    while remaining > 0 {
-                        let (cd, _) = self
-                            .ftl
-                            .read_data_page(Ppa::new(start.block, start.page + i))
-                            .map_err(Self::map_ftl_err)?;
-                        let take = remaining.min(cd.len());
-                        value.extend_from_slice(&cd[..take]);
-                        remaining -= take;
-                        i += 1;
-                    }
-                }
-                return Ok(Some((k, Bytes::from(value), extent)));
-            }
-            return Ok(None);
+            let pending = self.ftl.pending_pair(sig).zip(self.ftl.pending_extent(sig));
+            return Ok(pending.map(|((key, frag), extent)| (key, frag, extent)));
         }
         let (data, _) = self.ftl.read_data_page(head).map_err(Self::map_ftl_err)?;
-        let page_size = self.ftl.geometry().page_size as usize;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
+        let page_size = self.ftl.geometry().page_size;
+        let Some(entry) = layout::find_in_head(&data, page_size as usize, sig) else {
             return Ok(None);
         };
         let extent = WrittenExtent {
             head,
             cont_start: entry.cont_start,
-            cont_pages: entry.cont_pages(self.ftl.geometry().page_size),
+            cont_pages: entry.cont_pages(page_size),
             head_bytes: (layout::RECORD_PREFIX_LEN
                 + entry.key.len()
                 + entry.frag_len as usize
                 + layout::SIG_ENTRY_LEN) as u64,
             cont_bytes: (entry.val_total_len - entry.frag_len) as u64,
         };
-        let value = self.assemble_value(&entry)?;
-        Ok(Some((entry.key.clone(), value, extent)))
+        Ok(Some((entry.key, entry.value_frag, extent)))
     }
 
-    fn assemble_value(&mut self, entry: &PairEntry) -> Result<Bytes> {
-        let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let Some(start) = entry.cont_start else {
-                return Err(KvError::Corrupt(
-                    "stored pair overflows its head page but has no continuation extent".into(),
-                ));
-            };
-            let mut i = 0;
-            while remaining > 0 {
-                let (cd, _) = self
-                    .ftl
-                    .read_data_page(Ppa::new(start.block, start.page + i))
-                    .map_err(Self::map_ftl_err)?;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
-            }
+    /// Read the full pair stored at `head` for `sig`: the head record,
+    /// then the value body's continuation pages (each a charged read).
+    fn read_pair(
+        &mut self,
+        sig: KeySignature,
+        head: Ppa,
+    ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
+        let Some((key, frag, extent)) = self.read_head(sig, head)? else {
+            return Ok(None);
+        };
+        let mut value = frag.to_vec();
+        if extent.cont_bytes > 0 {
+            let start = extent.cont_start.ok_or_else(|| {
+                let detail = "stored pair overflows its head page but has no continuation extent";
+                KvError::Corrupt(detail.into())
+            })?;
+            layout::append_body(&mut value, start, extent.cont_bytes as usize, |ppa| {
+                self.ftl.read_data_page(ppa).map(|(page, _)| page).map_err(Self::map_ftl_err)
+            })?;
         }
-        Ok(Bytes::from(value))
+        Ok(Some((key, Bytes::from(value), extent)))
     }
 
     // ------------------------------------------------------------ commands
@@ -688,11 +701,12 @@ impl<I: IndexBackend> KvssdDevice<I> {
         let snap = self.span_begin();
         let sig = self.sign(key);
 
-        // Exist check: if the signature is present, fetch and verify the
-        // stored key (collision detection + update staleness accounting).
+        // Exist check: if the signature is present, read the stored head
+        // record and verify its key (collision detection + update
+        // staleness accounting). The value body is never needed.
         let old = match self.lookup_with_gc(sig)? {
-            Some(head) => match self.read_pair(sig, head)? {
-                Some((stored_key, _v, extent)) => {
+            Some(head) => match self.read_head(sig, head)? {
+                Some((stored_key, _, extent)) => {
                     if stored_key != key {
                         self.stats.collisions += 1;
                         self.settle(key.len() as u64);
@@ -813,7 +827,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
             self.settle(key.len() as u64);
             return Err(KvError::KeyNotFound);
         };
-        let Some((stored_key, _v, extent)) = self.read_pair(sig, head)? else {
+        let Some((stored_key, _, extent)) = self.read_head(sig, head)? else {
             self.stats.not_found += 1;
             self.settle(key.len() as u64);
             return Err(KvError::KeyNotFound);
@@ -887,7 +901,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
             if keys.len() >= limit {
                 break;
             }
-            if let Some((stored_key, _v, _)) = self.read_pair(sig, head)? {
+            if let Some((stored_key, _, _)) = self.read_head(sig, head)? {
                 if stored_key.starts_with(prefix) {
                     host_bytes += stored_key.len() as u64;
                     keys.push(stored_key);
@@ -973,15 +987,6 @@ impl<I: IndexBackend> KvssdDevice<I> {
             }
             _ => Err(KvError::Unsupported("iterator handle not open")),
         }
-    }
-
-    /// `read_pair` for sibling modules.
-    pub(crate) fn read_pair_public(
-        &mut self,
-        sig: KeySignature,
-        head: Ppa,
-    ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
-        self.read_pair(sig, head)
     }
 
     /// Flush all buffered state (shutdown / checkpoint).
@@ -1164,6 +1169,25 @@ mod tests {
         let mut dev = device();
         assert_eq!(dev.exist(b"").unwrap_err(), KvError::EmptyKey);
         assert_eq!(dev.delete(b"").unwrap_err(), KvError::EmptyKey);
+    }
+
+    #[test]
+    fn updates_and_deletes_read_only_the_head_page() {
+        let mut dev = KvssdDevice::rhik(DeviceConfig::paper(256 << 20, 1 << 20));
+        let page = dev.ftl().geometry().page_size as usize;
+        let value = vec![3u8; 3 * page + 100];
+        dev.put(b"big", &value).unwrap();
+        dev.put(b"other", &value).unwrap();
+        dev.flush().unwrap();
+        let reads = |dev: &KvssdDevice<RhikIndex>| dev.ftl().stats().data_page_reads;
+        let before = reads(&dev);
+        dev.put(b"big", b"small now").unwrap();
+        assert_eq!(reads(&dev) - before, 1, "an update reads the head page only");
+        let before = reads(&dev);
+        dev.delete(b"other").unwrap();
+        assert_eq!(reads(&dev) - before, 1, "a delete reads the head page only");
+        assert_eq!(&dev.get(b"big").unwrap().unwrap()[..], b"small now");
+        assert!(dev.ftl().total_stale_bytes() as usize >= 2 * value.len(), "both extents stale");
     }
 
     #[test]

@@ -34,13 +34,12 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rhik_core::RhikIndex;
+use rhik_core::{IndexReader, ReadLookup, RhikIndex};
 use rhik_ftl::layout;
 // Per-shard locks via ftl::sync so `cfg(loom)` builds model them (and
 // wslint's `std-mutex-outside-sync` rule holds workspace-wide).
 use rhik_ftl::sync::{Condvar, Counter, Mutex, MutexGuard};
-use rhik_ftl::{FlashPool, Ftl, IndexBackend, Lookup, MediaReader, ReadView};
-use rhik_nand::Ppa;
+use rhik_ftl::{FlashPool, Ftl, IndexBackend};
 use rhik_sigs::{KeySignature, SigHasher};
 use rhik_telemetry::{OpKind, OpSpan, TelemetrySink};
 
@@ -53,15 +52,13 @@ use crate::Result;
 
 // ------------------------------------------------------ lock-free reads
 
-/// Per-shard lock-free get machinery: the generation-published index
-/// mirror ([`ReadView`]) plus a [`MediaReader`] that reads record pages
-/// through the narrow media lock — never the shard's command mutex.
-/// All counters are relaxed [`Counter`]s; the latency histogram and
-/// telemetry sink sit behind their own short-hold mutexes, touched only
-/// *after* the lock-free walk and flash read complete.
+/// Per-shard lock-free get machinery: an [`IndexReader`] over the
+/// shard's published directory, page cache and media — never the
+/// shard's command mutex. All counters are relaxed [`Counter`]s; the
+/// latency histogram and telemetry sink sit behind their own short-hold
+/// mutexes, touched only *after* the lookup and flash reads complete.
 struct ReadPath {
-    view: Arc<ReadView>,
-    media: MediaReader,
+    index: IndexReader,
     gets: Counter,
     hits: Counter,
     not_found: Counter,
@@ -80,10 +77,9 @@ struct ReadPath {
 }
 
 impl ReadPath {
-    fn new(view: Arc<ReadView>, media: MediaReader) -> Self {
+    fn new(index: IndexReader) -> Self {
         ReadPath {
-            view,
-            media,
+            index,
             gets: Counter::new(),
             hits: Counter::new(),
             not_found: Counter::new(),
@@ -97,11 +93,20 @@ impl ReadPath {
         }
     }
 
-    /// Record one completed lock-free get (media time already charged).
-    fn record(&self, shard: u32, pages: u64, bytes: u64, hit: bool) {
-        let latency = pages * self.media.page_read_ns();
+    /// Charge the reads of an abandoned attempt to the shard clock: they
+    /// happened on real media even though the locked retry pays again.
+    fn charge_wasted(&self, index_reads: u64, pages: u64) {
+        self.pages_read.add(pages);
+        self.read_ns.add((index_reads + pages) * self.index.media().page_read_ns());
+    }
+
+    /// Record one completed lock-free get: `index_reads` record-page and
+    /// `pages` data-page reads.
+    fn record(&self, shard: u32, index_reads: u64, pages: u64, bytes: u64, hit: bool) {
+        let latency = (index_reads + pages) * self.index.media().page_read_ns();
         let start = self.read_ns.get();
         self.read_ns.add(latency);
+        self.index.note_lookup(index_reads);
         self.gets.incr();
         if hit {
             self.hits.incr();
@@ -118,12 +123,11 @@ impl ReadPath {
                 shard,
                 submitted_ns: start,
                 completed_ns: start + latency,
-                lookup_flash_reads: 0,
+                lookup_flash_reads: index_reads,
                 stages: Vec::new(), // bounded-by: built empty; the read path records no stages
             };
-            // Zero *index* flash reads by construction: the walk is the
-            // DRAM mirror, and only record pages were read.
-            sink.record_op(span, "kvssd_gets", Some(("get_latency_ns", latency)), Some(0), &[]);
+            let latency = Some(("get_latency_ns", latency));
+            sink.record_op(span, "kvssd_gets", latency, Some(index_reads), &[]);
         }
     }
 }
@@ -136,12 +140,12 @@ pub struct LockfreeReadStats {
     pub gets: u64,
     /// Of those, gets that returned a value.
     pub hits: u64,
-    /// Validated misses (zero flash reads spent).
+    /// Validated misses.
     pub not_found: u64,
     /// Attempts that bounced to the locked path (contention, pending
     /// write buffer, failed post-read validation).
     pub fallbacks: u64,
-    /// Record pages read through the media lock (head + continuation).
+    /// Data pages read through the media lock (head + continuation).
     pub pages_read: u64,
     /// Value bytes returned by lock-free hits.
     pub bytes_read: u64,
@@ -267,9 +271,7 @@ enum FastGet {
 
 /// Per-shard state living *outside* the shard's command mutex.
 struct ShardExt {
-    /// `Some` when the index backend accepted a read view at
-    /// construction; `None` keeps every get on the locked path.
-    read: Option<ReadPath>,
+    read: ReadPath,
     commit: GroupCommit,
 }
 
@@ -358,13 +360,7 @@ impl ShardedKvssd<RhikIndex> {
             let ftl = Ftl::with_pool(shard_cfg.ftl_config(), Arc::clone(&pool));
             let index = RhikIndex::new(shard_cfg.rhik, shard_cfg.geometry.page_size);
             let mut dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
-            // Offer the index a generation-published mirror; gets go
-            // lock-free only if the backend accepted it (it publishes
-            // the right directory bits itself).
-            let view = Arc::new(ReadView::new(0));
-            let read = dev
-                .attach_read_view(Arc::clone(&view))
-                .then(|| ReadPath::new(view, dev.media_reader()));
+            let read = ReadPath::new(dev.index_reader());
             // The cache tier requires the backend to bump invalidation
             // versions; a refusal disables the cache (fail-open).
             if let Some(tier) = &cache {
@@ -405,8 +401,8 @@ impl ShardedKvssd<RhikIndex> {
             // Cache↔index coherence: with every shard lock held the
             // keyspace is quiescent — join every still-current cached
             // entry of this shard's slice against the directory →
-            // record-page → FTL chain.
-            self.collect_cache_samples(shard, &mut cache_samples);
+            // record-page → head-page chain.
+            self.collect_cache_samples(shard, dev, &mut cache_samples);
         }
         let mut report = auditor.check_sharded(&shards, &gauges);
         report.violations.extend(auditor.check_cache(&cache_samples).violations);
@@ -414,16 +410,16 @@ impl ShardedKvssd<RhikIndex> {
     }
 
     /// Gather [`rhik_audit::CacheCoherenceSample`]s for `shard`'s slice
-    /// of the signature space. Caller holds (or just held) the shard
-    /// lock; mutations for these signatures route only through that
-    /// shard, so versions observed here are stable for the join.
+    /// of the signature space, reading the index through `dev` — the
+    /// shard's device, whose lock the caller holds, so versions observed
+    /// here are stable for the join.
     fn collect_cache_samples(
         &self,
         shard: usize,
+        dev: &KvssdDevice<RhikIndex>,
         samples: &mut Vec<rhik_audit::CacheCoherenceSample>,
     ) {
         let Some(tier) = &self.cache else { return };
-        let Some(read) = &self.ext[shard].read else { return };
         for entry in tier.snapshot() {
             if self.shard_of(KeySignature(entry.sig)) != shard {
                 continue;
@@ -438,50 +434,9 @@ impl ShardedKvssd<RhikIndex> {
                 fill_version: entry.version,
                 current_version: current,
                 cached_value: entry.value.to_vec(),
-                index_value: self.audit_chain_read(read, KeySignature(entry.sig), &entry.key),
+                index_value: dev.audit_read(&entry.key),
             });
         }
-    }
-
-    /// Re-read one key through the lock-free chain for the audit join,
-    /// without touching command counters or the shard clock. `None`
-    /// means the chain could not be walked without side effects (page
-    /// still in the write buffer) — the sample is skipped.
-    fn audit_chain_read(
-        &self,
-        read: &ReadPath,
-        sig: KeySignature,
-        key: &[u8],
-    ) -> Option<Option<Vec<u8>>> {
-        let hit = match read.view.lookup(sig.0) {
-            // A validated miss is authoritative: the key is absent.
-            Lookup::Miss => return Some(None),
-            Lookup::Contended => return None, // writer active: skip
-            Lookup::Hit(hit) => hit,
-        };
-        let (data, _) = read.media.read_page(hit.head).ok()?;
-        let page_size = read.media.geometry().page_size as usize;
-        let entry = layout::find_in_head(&data, page_size, sig)?;
-        if entry.key != key {
-            return Some(None); // signature collision: this key is absent
-        }
-        let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let start = entry.cont_start?;
-            let mut i = 0;
-            while remaining > 0 {
-                let (cd, _) = read.media.read_page(Ppa::new(start.block, start.page + i)).ok()?;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
-            }
-        }
-        if !hit.validate() {
-            return None;
-        }
-        Some(Some(value))
     }
 }
 
@@ -623,13 +578,14 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
 
     /// `get`: the hot-object cache answers first (a validated DRAM hit
     /// costs zero directory work and zero flash reads), then the
-    /// lock-free path when the shard has a read view — walk the
-    /// published snapshot, read record pages through the media lock,
-    /// validate, and return without ever touching the shard's command
-    /// mutex. Any ambiguity (contended bucket, pending write buffer,
-    /// failed validation) falls back to the classic locked path. Values
-    /// read from the index are offered back to the cache under the
-    /// version-re-check fill protocol (see `cache_tier`).
+    /// lock-free path — take the slot from the published directory,
+    /// probe its record page (page cache, or one flash read), read the
+    /// data page through the media lock, validate, and return without
+    /// ever touching the shard's command mutex. Any ambiguity (contended
+    /// slot, pending write buffer, failed validation) falls back to the
+    /// classic locked path. Values read from the index are offered back
+    /// to the cache under the version-re-check fill protocol (see
+    /// `cache_tier`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let sig = self.hasher.sign(key);
         let shard = self.shard_of(sig);
@@ -644,7 +600,7 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     }
 
     /// The no-shard-lock prefix of a get: cache probe, then a lock-free
-    /// index walk. Both `get` and `submit_batch` start here; only the
+    /// index lookup. Both `get` and `submit_batch` start here; only the
     /// locked fallback differs (single command vs. compound batch).
     fn fast_get(&self, shard: usize, sig: KeySignature, key: &[u8]) -> FastGet {
         if key.is_empty() {
@@ -658,16 +614,17 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
             },
             None => None,
         };
-        if let Some(read) = &self.ext[shard].read {
-            match self.lockfree_get(read, shard as u32, sig, key) {
-                Some(result) => {
-                    self.admit_after_read(shard, sig, key, fill_version, &result);
-                    return FastGet::Done(result);
-                }
-                None => read.fallbacks.incr(),
+        let read = &self.ext[shard].read;
+        match self.lockfree_get(read, shard as u32, sig, key) {
+            Some(result) => {
+                self.admit_after_read(shard, sig, key, fill_version, &result);
+                FastGet::Done(result)
+            }
+            None => {
+                read.fallbacks.incr();
+                FastGet::NeedsLock { fill_version }
             }
         }
-        FastGet::NeedsLock { fill_version }
     }
 
     /// Step 3 of the cache fill protocol, shared by every read path.
@@ -790,71 +747,67 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         sig: KeySignature,
         key: &[u8],
     ) -> Option<Result<Option<Bytes>>> {
-        let hit = match read.view.lookup(sig.0) {
-            // A validated miss costs zero flash reads — the §IV-A3
-            // signature-only answer, straight from DRAM.
-            Lookup::Miss => {
-                read.record(shard, 0, 0, false);
-                return Some(Ok(None));
+        let (head, index_reads, slot) = match read.index.lookup(sig) {
+            ReadLookup::Done { head, index_reads, slot } => (head, index_reads, slot),
+            ReadLookup::Contended { index_reads } => {
+                read.charge_wasted(index_reads, 0);
+                return None;
             }
-            Lookup::Contended => return None,
-            Lookup::Hit(hit) => hit,
+        };
+        let Some(head) = head else {
+            // The §IV-A3 signature-only answer: no data page read.
+            if !slot.validate() {
+                read.charge_wasted(index_reads, 0);
+                return None;
+            }
+            read.record(shard, index_reads, 0, 0, false);
+            return Some(Ok(None));
         };
         // Optimistic flash read: the head may be stale (concurrent
         // update/GC) or still in the DRAM write buffer (unprogrammed
         // page ⇒ the media read errors). Validation decides.
+        let media = read.index.media();
         let mut pages = 1u64;
-        let charge_wasted = |pages: u64| {
-            // The optimistic reads happened on real media; charge them
-            // to the shard clock even though the locked retry pays again.
-            read.pages_read.add(pages);
-            read.read_ns.add(pages * read.media.page_read_ns());
-        };
-        let Ok((data, _)) = read.media.read_page(hit.head) else {
+        let Ok((data, _)) = media.read_page(head) else {
+            read.charge_wasted(index_reads, 0);
             return None;
         };
-        let page_size = read.media.geometry().page_size as usize;
+        let page_size = media.geometry().page_size as usize;
         let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
-            charge_wasted(pages);
+            read.charge_wasted(index_reads, pages);
             return None;
         };
         if entry.key != key {
             // Stored pair is a different key: either a true signature
             // collision (report not-found) or a stale page — validate
             // to tell them apart.
-            if !hit.validate() {
-                charge_wasted(pages);
+            if !slot.validate() {
+                read.charge_wasted(index_reads, pages);
                 return None;
             }
-            read.record(shard, pages, 0, false);
+            read.record(shard, index_reads, pages, 0, false);
             return Some(Ok(None));
         }
         let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let Some(start) = entry.cont_start else {
-                charge_wasted(pages);
+        let body = (entry.val_total_len - entry.frag_len) as usize;
+        if body > 0 {
+            let read_body = entry.cont_start.ok_or(()).and_then(|start| {
+                layout::append_body(&mut value, start, body, |ppa| {
+                    let (page, _) = media.read_page(ppa).map_err(|_| ())?;
+                    pages += 1;
+                    Ok(page)
+                })
+            });
+            if read_body.is_err() {
+                read.charge_wasted(index_reads, pages);
                 return None;
-            };
-            let mut i = 0;
-            while remaining > 0 {
-                let Ok((cd, _)) = read.media.read_page(Ppa::new(start.block, start.page + i))
-                else {
-                    charge_wasted(pages);
-                    return None;
-                };
-                pages += 1;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
             }
         }
-        if !hit.validate() {
-            charge_wasted(pages);
+        if !slot.validate() {
+            read.charge_wasted(index_reads, pages);
             return None;
         }
-        read.record(shard, pages, value.len() as u64, true);
+        read.record(shard, index_reads, pages, value.len() as u64, true);
         Some(Ok(Some(Bytes::from(value))))
     }
 
@@ -943,11 +896,10 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     /// device-wide views both cover every command.
     pub fn shard_stats(&self, shard: usize) -> DeviceStats {
         let mut stats = self.lock(shard).stats();
-        if let Some(read) = &self.ext[shard].read {
-            stats.gets += read.gets.get();
-            stats.not_found += read.not_found.get();
-            stats.bytes_read += read.bytes_read.get();
-        }
+        let read = &self.ext[shard].read;
+        stats.gets += read.gets.get();
+        stats.not_found += read.not_found.get();
+        stats.bytes_read += read.bytes_read.get();
         if let Some(tier) = &self.cache {
             tier.fold_shard_stats(shard, &mut stats);
         }
@@ -960,12 +912,11 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         self.cache.as_ref().map(|tier| tier.stats())
     }
 
-    /// Aggregated lock-free read-path counters over every shard. All
-    /// zeros when no shard accepted a read view.
+    /// Aggregated lock-free read-path counters over every shard.
     pub fn lockfree_read_stats(&self) -> LockfreeReadStats {
         let mut total = LockfreeReadStats::default();
         for ext in self.ext.iter() {
-            let Some(read) = &ext.read else { continue };
+            let read = &ext.read;
             total.gets += read.gets.get();
             total.hits += read.hits.get();
             total.not_found += read.not_found.get();
@@ -1015,8 +966,7 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
                 // time is accrued separately and charged to the shard's
                 // clock serially (a conservative bound — on the modeled
                 // hardware they could overlap queued commands).
-                let lockfree =
-                    self.ext[s].read.as_ref().map_or(0.0, |read| read.read_ns.get() as f64 / 1e9);
+                let lockfree = self.ext[s].read.read_ns.get() as f64 / 1e9;
                 self.lock(s).elapsed_secs() + lockfree
             })
             .fold(0.0, f64::max)
@@ -1037,9 +987,8 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         let mut h = LatencyHistogram::new();
         for shard in 0..self.shards.len() {
             h.merge(self.lock(shard).get_latencies());
-            if let Some(read) = &self.ext[shard].read {
-                h.merge(&read.latencies.lock().unwrap_or_else(|p| p.into_inner()));
-            }
+            let read = &self.ext[shard].read;
+            h.merge(&read.latencies.lock().unwrap_or_else(|p| p.into_inner()));
         }
         if let Some(tier) = &self.cache {
             tier.merge_latencies(&mut h);
@@ -1048,9 +997,12 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     }
 
     /// Run `f` with exclusive access to one shard's device (diagnostics,
-    /// targeted fault injection, forcing a resize in tests).
+    /// targeted fault injection, forcing a resize in tests). The index
+    /// stats `f` sees include the shard's lock-free lookups.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut KvssdDevice<I>) -> R) -> R {
-        f(&mut self.lock(shard))
+        let mut dev = self.lock(shard);
+        dev.sync_index_stats();
+        f(&mut dev)
     }
 
     /// Install one telemetry sink across every shard. Shards share the
@@ -1060,10 +1012,9 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     pub fn set_telemetry(&self, sink: rhik_telemetry::TelemetrySink) {
         for shard in 0..self.shards.len() {
             self.lock(shard).set_telemetry_shard(sink.clone(), shard as u32);
-            if let Some(read) = &self.ext[shard].read {
-                *read.telemetry.lock().unwrap_or_else(|p| p.into_inner()) = sink.clone();
-                read.telemetry_on.set(u64::from(sink.is_enabled()));
-            }
+            let read = &self.ext[shard].read;
+            *read.telemetry.lock().unwrap_or_else(|p| p.into_inner()) = sink.clone();
+            read.telemetry_on.set(u64::from(sink.is_enabled()));
         }
         if let Some(tier) = &self.cache {
             tier.set_telemetry(sink);
@@ -1496,6 +1447,65 @@ mod tests {
         dev.flush().unwrap();
         let report = dev.audit(&mut auditor);
         assert!(report.is_ok(), "final audit:\n{report}");
+    }
+
+    #[test]
+    fn audit_reports_a_current_cache_entry_holding_a_wrong_value() {
+        let dev =
+            ShardedKvssd::rhik(DeviceConfig::small().with_shards(2).with_hot_cache(64 * 1024));
+        dev.put(b"victim", b"right").unwrap();
+        let mut auditor = rhik_audit::DeviceAuditor::new();
+        assert!(dev.audit(&mut auditor).is_ok());
+        // Admit a wrong value at the key's current version, as a broken
+        // fill protocol would.
+        let tier = dev.cache.as_ref().expect("cache enabled");
+        let sig = dev.hasher.sign(b"victim");
+        let wrong = Bytes::from_static(b"wrong");
+        tier.try_admit(dev.shard_of(sig) as u32, sig, b"victim", &wrong, tier.versions.load(sig.0));
+        // Both while the pair is in the write buffer and once on flash.
+        for flushed in [false, true] {
+            if flushed {
+                dev.flush().unwrap();
+            }
+            let report = dev.audit(&mut auditor);
+            let caught = report.violations.iter().any(|v| {
+                matches!(v, rhik_audit::InvariantViolation::CacheIncoherent { sig: s, .. } if *s == sig.0)
+            });
+            assert!(caught, "flushed={flushed}: wrong cached value not reported:\n{report}");
+        }
+    }
+
+    #[test]
+    fn lockfree_lookups_land_in_the_index_stats() {
+        let dev = sharded(2);
+        for i in 0..100u64 {
+            dev.put(format!("st-{i}").as_bytes(), b"v").unwrap();
+        }
+        dev.flush().unwrap();
+        let stats = |dev: &ShardedKvssd<RhikIndex>| {
+            (0..dev.shard_count()).map(|s| dev.with_shard(s, |d| d.index().stats().clone())).fold(
+                (0, 0, 0),
+                |acc, st| {
+                    (
+                        acc.0 + st.lookups,
+                        acc.1 + st.zero_flash_lookups,
+                        acc.2 + st.reads_per_lookup_histo[1],
+                    )
+                },
+            )
+        };
+        let before = stats(&dev);
+        let lf = dev.lockfree_read_stats();
+        for i in 0..100u64 {
+            dev.get(format!("st-{i}").as_bytes()).unwrap().unwrap();
+        }
+        let gets = dev.lockfree_read_stats().gets - lf.gets;
+        assert_eq!(gets, 100, "quiet gets go lock-free");
+        let after = stats(&dev);
+        assert_eq!(after.0 - before.0, 100, "every lock-free lookup is counted");
+        // Every record page is cached after the flush: zero index reads.
+        assert_eq!(after.1 - before.1, 100);
+        assert_eq!(after.2, before.2);
     }
 
     #[test]

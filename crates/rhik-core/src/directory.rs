@@ -26,6 +26,9 @@ pub struct DirEntry {
     /// Whether an overflow table exists (it may be cache-only, like the
     /// primary).
     pub has_overflow: bool,
+    /// The primary table's cached page differs from its flash copy (or
+    /// has none yet). Never persisted: a mounted directory starts clean.
+    pub dirty: bool,
 }
 
 impl DirEntry {
@@ -36,6 +39,7 @@ impl DirEntry {
             overflow_ppa: None,
             overflow_records: 0,
             has_overflow: false,
+            dirty: false,
         }
     }
 
@@ -267,6 +271,7 @@ impl Directory {
                     overflow_ppa,
                     overflow_records: 0,
                     has_overflow: otag == 3 || overflow_ppa.is_some(),
+                    dirty: false,
                 });
             }
         }

@@ -1,15 +1,21 @@
 //! The RHIK index proper: directory + cached record-layer tables, with the
 //! ≤ 1-flash-read lookup guarantee.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rhik_ftl::layout::SpareMeta;
-use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
+use rhik_ftl::{
+    Ftl, GenSnapshot, IndexBackend, IndexError, IndexStats, InsertOutcome, ReadView, TableAddr,
+    VersionTable,
+};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
 use crate::bucket::{RecordTable, TableInsert};
 use crate::config::RhikConfig;
 use crate::directory::{DirEntry, Directory};
+use crate::reader::IndexReader;
 use crate::store::TableStore;
 
 /// Cache keys with this bit set identify directory snapshot pages rather
@@ -43,18 +49,15 @@ pub struct RhikIndex {
     /// Buckets lost at mount time because GC had reclaimed their
     /// snapshot-referenced pages (see [`RhikIndex::recover`]).
     recovery_lost_tables: u64,
-    /// Generation-published mirror of the `sig → head PPA` mapping for
-    /// the device's lock-free read path (attached by the sharded device;
-    /// `None` on single-owner devices). Every mutation that changes where
-    /// a pair lives funnels through the `note_view_*` helpers.
-    view: Option<std::sync::Arc<rhik_ftl::ReadView>>,
+    /// The directory as published to the shard's lock-free readers (see
+    /// [`RhikIndex::reader`]); `None` while no reader is attached.
+    view: Option<Arc<ReadView>>,
     /// Invalidation versions for the hot-object cache tier (attached by
-    /// the device when the cache is enabled; `None` otherwise). Bumped in
-    /// the same `note_view_*` funnel as the read view: every value
-    /// mutation — insert, update, delete, GC relocation — invalidates
-    /// the signature's stripe. Directory doublings move mappings without
-    /// changing values, so `note_view_doubled` does not bump.
-    versions: Option<std::sync::Arc<rhik_ftl::VersionTable>>,
+    /// the device when the cache is enabled; `None` otherwise). Every
+    /// value mutation — insert, update, delete, GC relocation — bumps the
+    /// signature's stripe after it is applied. Directory doublings move
+    /// records without changing values, so they do not bump.
+    versions: Option<Arc<VersionTable>>,
 }
 
 impl RhikIndex {
@@ -312,38 +315,58 @@ impl RhikIndex {
         }
     }
 
-    /// Mirror a `sig → head` change into the attached read view (no-op
-    /// without one). Called at every insert/update success point,
-    /// including GC relocation, which funnels through `insert`.
+    /// Invalidate `sig`'s hot-cache entries. Called *after* the index
+    /// mutation: once a cache fill observes the new version it is
+    /// guaranteed to also observe the new value.
     #[inline]
-    pub(crate) fn note_view_upsert(&self, sig: KeySignature, ppa: Ppa) {
-        if let Some(view) = &self.view {
-            view.upsert(sig.0, ppa);
-        }
-        // Bump *after* the index mutation: once a cache fill observes the
-        // new version it is guaranteed to also observe the new value.
+    fn bump_version(&self, sig: KeySignature) {
         if let Some(versions) = &self.versions {
             versions.bump(sig.0);
         }
     }
 
-    /// Mirror a deletion into the attached read view (no-op without one).
-    #[inline]
-    pub(crate) fn note_view_remove(&self, sig: KeySignature) {
-        if let Some(view) = &self.view {
-            view.remove(sig.0);
-        }
-        if let Some(versions) = &self.versions {
-            versions.bump(sig.0);
+    /// Attach the shard's lock-free readers: publish the directory (once)
+    /// and return a reader over it, this FTL's page cache and its media.
+    pub fn reader(&mut self, ftl: &Ftl) -> IndexReader {
+        let view = match &self.view {
+            Some(view) => Arc::clone(view),
+            None => Arc::new(ReadView::new(self.snapshot())),
+        };
+        self.view = Some(Arc::clone(&view));
+        IndexReader::new(view, ftl.page_cache(), ftl.media_reader(), self.table_shape())
+    }
+
+    /// The generation readers should see now: every slot of the directory
+    /// whose tables hold the records — mid-migration the frozen old one,
+    /// whose split slots are withdrawn.
+    fn snapshot(&self) -> GenSnapshot {
+        let dir = self.migration.as_ref().map_or(&self.dir, |m| &m.old);
+        let addrs = (0..dir.len() as u32).map(|s| self.table_addr(dir.cache_key(s)));
+        GenSnapshot::new(dir.cache_key(0), dir.bits(), addrs)
+    }
+
+    /// Where a lock-free reader can read the table under `key`.
+    fn table_addr(&self, key: u64) -> TableAddr {
+        match self.entry_of(key) {
+            None => TableAddr::Unavailable,
+            Some(e) if e.has_overflow => TableAddr::Unavailable,
+            Some(e) if e.dirty => TableAddr::Cached,
+            Some(e) => e.table_ppa.map_or(TableAddr::Empty, TableAddr::Flash),
         }
     }
 
-    /// Publish the read view's next generation after the directory
-    /// doubled (`resize::begin`): readers re-walk under the new bits and
-    /// stale-snapshot holders are poisoned into the locked path.
-    pub(crate) fn note_view_doubled(&self) {
+    /// Publish the doubled directory once its migration has completed.
+    pub(crate) fn publish_directory(&self) {
         if let Some(view) = &self.view {
-            view.publish_generation(self.dir.bits());
+            view.publish(self.snapshot());
+        }
+    }
+
+    /// Stop serving `key`'s published slot lock-free: a doubling is about
+    /// to move its records into the new directory.
+    pub(crate) fn withdraw_slot(&self, key: u64) {
+        if let (Some(slot), Some(view)) = (self.slot_begin(key), &self.view) {
+            view.snapshot().write_end(slot, TableAddr::Unavailable);
         }
     }
 
@@ -418,6 +441,28 @@ impl RhikIndex {
     /// Flash pages of the current directory snapshot (diagnostics).
     pub fn dir_snapshot(&self) -> &[Ppa] {
         &self.dir_snapshot
+    }
+
+    /// Resolve `sig` as [`IndexBackend::lookup`] does, but observe pages
+    /// through the cache's `peek` and [`Ftl::peek_page`]: no read is
+    /// charged and no statistic or recency moves (audits). `None` when a
+    /// table the lookup needs cannot be observed.
+    pub fn peek_lookup(&self, ftl: &Ftl, sig: KeySignature) -> Option<Option<Ppa>> {
+        let (records, hop_width) = self.table_shape();
+        let probe = |key: u64| -> Option<Option<Ppa>> {
+            let cached = ftl.cache_ref().peek(key).cloned();
+            let page = match (cached, self.table_ppa(key)) {
+                (Some(page), _) => page,
+                (None, Some(ppa)) => ftl.peek_page(ppa)?.0,
+                (None, None) => return Some(None),
+            };
+            Some(RecordTable::view(&page[..], records, hop_width, 0).lookup(sig))
+        };
+        let key = self.route(sig);
+        match probe(key)? {
+            None if self.entry_of(key).is_some_and(|e| e.has_overflow) => probe(OVERFLOW_KEY | key),
+            hit => Some(hit),
+        }
     }
 
     /// Snapshot the index's cross-layer claims for the invariant auditor:
@@ -535,6 +580,7 @@ impl TableStore for RhikIndex {
                 entry.has_overflow = true;
             } else {
                 entry.records = len;
+                entry.dirty = true;
             }
         }
     }
@@ -558,16 +604,33 @@ impl TableStore for RhikIndex {
         let page_bytes = data.len() as u64;
         let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
+        let slot = self.slot_begin(key);
+        let overflow = key & OVERFLOW_KEY != 0;
         if let Some(entry) = self.entry_of_mut(key) {
-            if let Some(old) = entry.page_ppa_mut(key & OVERFLOW_KEY != 0).replace(new_ppa) {
+            entry.dirty &= overflow;
+            if let Some(old) = entry.page_ppa_mut(overflow).replace(new_ppa) {
                 ftl.retire_index_page(old, page_bytes);
             }
         }
+        self.slot_end(slot, key);
         Ok(())
     }
 
     fn index_stats_mut(&mut self) -> &mut IndexStats {
         &mut self.stats
+    }
+
+    fn slot_begin(&self, key: u64) -> Option<usize> {
+        let current = self.view.as_ref()?.snapshot();
+        let slot = current.slot_of_key(key & !OVERFLOW_KEY)?;
+        current.write_begin(slot);
+        Some(slot)
+    }
+
+    fn slot_end(&self, slot: Option<usize>, key: u64) {
+        if let (Some(slot), Some(view)) = (slot, &self.view) {
+            view.snapshot().write_end(slot, self.table_addr(key & !OVERFLOW_KEY));
+        }
     }
 }
 
@@ -596,7 +659,7 @@ impl IndexBackend for RhikIndex {
             else {
                 unreachable!("probe said present");
             };
-            self.note_view_upsert(sig, ppa);
+            self.bump_version(sig);
             self.maybe_flush_directory(ftl)?;
             return Ok(InsertOutcome::Updated { old });
         }
@@ -622,7 +685,7 @@ impl IndexBackend for RhikIndex {
         if displacements > 0 {
             ftl.telemetry().counter_add("rhik_hopscotch_displacements", displacements);
         }
-        self.note_view_upsert(sig, ppa);
+        self.bump_version(sig);
         self.maybe_resize(ftl)?;
         self.maybe_flush_directory(ftl)?;
         Ok(outcome)
@@ -663,7 +726,7 @@ impl IndexBackend for RhikIndex {
         }
         if removed.is_some() {
             self.len -= 1;
-            self.note_view_remove(sig);
+            self.bump_version(sig);
             self.maybe_flush_directory(ftl)?;
         }
         Ok(removed)
@@ -677,8 +740,10 @@ impl IndexBackend for RhikIndex {
         Some(self.total_capacity())
     }
 
+    /// The directory plus, with lock-free readers attached, the slot
+    /// array published to them.
     fn dram_bytes(&self) -> u64 {
-        self.dir.dram_bytes()
+        self.dir.dram_bytes() + self.view.as_ref().map_or(0, |v| v.snapshot().dram_bytes())
     }
 
     fn stats(&self) -> &IndexStats {
@@ -769,20 +834,13 @@ impl IndexBackend for RhikIndex {
         self.migration.as_ref().map(|m| m.progress())
     }
 
-    fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
-        if self.len != 0 {
-            // The view starts empty; adopting it now would make every
-            // pre-existing key a (validated) lock-free miss.
-            return false;
+    fn sync_stats(&mut self) {
+        if let Some(view) = &self.view {
+            self.stats.absorb(view.tally());
         }
-        if view.snapshot().bits() != self.dir.bits() {
-            view.publish_generation(self.dir.bits());
-        }
-        self.view = Some(view);
-        true
     }
 
-    fn attach_versions(&mut self, versions: std::sync::Arc<rhik_ftl::VersionTable>) -> bool {
+    fn attach_versions(&mut self, versions: Arc<VersionTable>) -> bool {
         // Safe at any point: versions are equality-compared against a
         // fill-time read, and no cache entries predate the attach.
         self.versions = Some(versions);
@@ -837,9 +895,11 @@ impl IndexBackend for RhikIndex {
         self.stats.metadata_flash_reads += 1;
         let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
+        let slot = self.slot_begin(key);
         if let Some(entry) = self.entry_of_mut(key) {
             *entry.page_ppa_mut(key & OVERFLOW_KEY != 0) = Some(new_ppa);
         }
+        self.slot_end(slot, key);
         ftl.retire_index_page(old, page_size);
         Ok(Some(new_ppa))
     }
@@ -1306,5 +1366,52 @@ mod tests {
         assert_eq!(idx.dram_bytes(), idx.directory().dram_bytes());
         assert_eq!(idx.name(), "rhik");
         assert_eq!(idx.capacity(), Some(idx.total_capacity()));
+
+        // With lock-free readers attached, DRAM adds the published slot
+        // array — one word pair per directory slot, nothing per key.
+        let (mut ftl, mut idx) = setup_with_blocks(512);
+        let _reader = idx.reader(&ftl);
+        let per_slot = |idx: &RhikIndex| {
+            let published = idx.dram_bytes() - idx.directory().dram_bytes();
+            published as f64 / idx.directory().len() as f64
+        };
+        let empty = per_slot(&idx);
+        assert!(empty > 0.0, "the published slot array must be charged");
+        for i in 0..400u64 {
+            idx.insert(&mut ftl, sig(i), Ppa::new(0, (i % 8) as u32)).unwrap();
+        }
+        assert!(idx.stats().resizes.len() >= 2, "doublings republish the array");
+        let full = per_slot(&idx);
+        assert!(full <= empty, "published bytes grew with keys: {empty} -> {full} per slot");
+        assert!(full <= 32.0, "{full} B per slot is not a directory-sized array");
+    }
+
+    #[test]
+    fn readers_see_every_write_through_the_published_directory() {
+        let (mut ftl, mut idx) = setup_with_blocks(1024);
+        let reader = idx.reader(&ftl);
+        let resolve = |idx: &RhikIndex, ftl: &Ftl, s: KeySignature| match reader.lookup(s) {
+            crate::ReadLookup::Done { head, slot, .. } if slot.validate() => {
+                assert_eq!(head, idx.peek_lookup(ftl, s).unwrap(), "reader disagrees");
+                Some(head)
+            }
+            // Withdrawn or cache-only slots send readers to the lock.
+            crate::ReadLookup::Done { .. } | crate::ReadLookup::Contended { .. } => None,
+        };
+        let mut served = 0;
+        for i in 0..600u64 {
+            idx.insert(&mut ftl, sig(i), Ppa::new(1, (i % 8) as u32)).unwrap();
+            if i % 3 == 0 {
+                idx.remove(&mut ftl, sig(i / 2)).unwrap();
+            }
+            for probe in [i, i / 2, i + 1] {
+                served += u32::from(resolve(&idx, &ftl, sig(probe)).is_some());
+            }
+        }
+        idx.flush(&mut ftl).unwrap();
+        for i in 0..600u64 {
+            assert!(resolve(&idx, &ftl, sig(i)).is_some(), "flushed slot not servable");
+        }
+        assert!(served > 900, "only {served} lookups were servable lock-free");
     }
 }

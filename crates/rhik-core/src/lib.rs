@@ -22,6 +22,7 @@ mod bucket;
 mod config;
 mod directory;
 mod index;
+mod reader;
 mod record;
 mod resize;
 mod store;
@@ -30,5 +31,6 @@ pub use bucket::{RecordTable, TableInsert};
 pub use config::RhikConfig;
 pub use directory::{DirEntry, Directory};
 pub use index::RhikIndex;
+pub use reader::{IndexReader, ReadLookup};
 pub use record::IndexRecord;
 pub use store::TableStore;

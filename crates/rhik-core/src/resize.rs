@@ -171,11 +171,9 @@ pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), IndexError
         max_step_media_ns: 0,
     });
     ftl.telemetry().counter_add("rhik_resizes_started", 1);
-    // The DRAM directory just doubled; publish the read view's next
-    // generation so lock-free readers re-walk under the new bits (record
-    // head PPAs are untouched by the table splits that follow, so the
-    // view needs no per-split work).
-    idx.note_view_doubled();
+    // Lock-free readers keep the old directory's slots until the doubled
+    // one is complete: each split withdraws its old slot, and the
+    // finished directory is published as one new generation.
     Ok(())
 }
 
@@ -225,6 +223,7 @@ pub(crate) fn step(
         debug_assert_eq!(m.migrated, m.keys_before, "resize lost records");
         idx.index_stats_mut().resizes.push(m.event());
         idx.resize_deferred = false;
+        idx.publish_directory();
     } else {
         idx.migration = Some(m);
     }
@@ -291,6 +290,7 @@ fn split_one(
     let old_bits = m.old.bits();
     let old_key = m.old.cache_key(slot);
     let has_overflow = m.old.entry(slot).has_overflow;
+    idx.withdraw_slot(old_key);
 
     // Fetch the old table (and its hyper-local overflow, if any): cache
     // first (old-generation keys), flash next. Read non-destructively —
@@ -302,7 +302,8 @@ fn split_one(
             continue;
         }
         let key = if overflow { OVERFLOW_KEY | old_key } else { old_key };
-        if let Some(page) = ftl.cache().get(key) {
+        let cached = ftl.cache().get(key);
+        if let Some(page) = cached {
             old_pages.push(page);
         } else if let Some(ppa) = m.old.entry(slot).page_ppa(overflow) {
             old_pages.push(ftl.read_index_page(ppa)?);

@@ -5,6 +5,11 @@
 //! update patches the cached page in place and marks it dirty. A miss reads
 //! the page from flash once (the ≤ 1-read bound) and installs it, writing
 //! back whatever the install evicts.
+//!
+//! An index with lock-free readers publishes each table's address per
+//! directory slot; an update runs inside that slot's seqlock bracket
+//! ([`TableStore::slot_begin`] / [`TableStore::slot_end`]) so a reader
+//! probing the same page never validates across it.
 
 use bytes::Bytes;
 use rhik_ftl::{Ftl, IndexError, IndexStats};
@@ -43,6 +48,17 @@ pub trait TableStore {
 
     fn index_stats_mut(&mut self) -> &mut IndexStats;
 
+    /// Open the seqlock bracket of the published directory slot serving
+    /// the table under `key`. `None` (the default) when nothing is
+    /// published for it.
+    fn slot_begin(&self, _key: u64) -> Option<usize> {
+        None
+    }
+
+    /// Publish the table's address as it now stands and close a bracket
+    /// [`slot_begin`](Self::slot_begin) opened.
+    fn slot_end(&self, _slot: Option<usize>, _key: u64) {}
+
     /// Cache `page` under `key`, writing back whatever the insert evicts.
     fn install(
         &mut self,
@@ -51,7 +67,8 @@ pub trait TableStore {
         page: Bytes,
         dirty: bool,
     ) -> Result<(), IndexError> {
-        for ev in ftl.cache().insert(key, page, dirty) {
+        let evicted = ftl.cache().insert(key, page, dirty);
+        for ev in evicted {
             self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
         }
         Ok(())
@@ -62,7 +79,8 @@ pub trait TableStore {
     /// clean). `None` for a table that was never persisted and is not
     /// cached — it is empty.
     fn fetch_page(&mut self, ftl: &mut Ftl, key: u64) -> Result<Option<(Bytes, u64)>, IndexError> {
-        if let Some(page) = ftl.cache().get(key) {
+        let cached = ftl.cache().get(key);
+        if let Some(page) = cached {
             return Ok(Some((page, 0)));
         }
         let Some(ppa) = self.table_ppa(key) else { return Ok(None) };
@@ -89,7 +107,9 @@ pub trait TableStore {
     /// Run `op` on the table under `key`, in place on its cached page. A
     /// miss reads the page from flash (or starts a blank one for a table
     /// never persisted) and installs it — dirty if `op` changed it. A
-    /// change marks the page dirty and updates the table's count.
+    /// change marks the page dirty and updates the table's count. The
+    /// change happens inside the table's slot bracket; flash reads and
+    /// write-backs of evicted pages stay outside it.
     fn update_table<T>(
         &mut self,
         ftl: &mut Ftl,
@@ -98,44 +118,48 @@ pub trait TableStore {
     ) -> Result<T, IndexError> {
         let (records, hop_width) = self.table_shape();
         let len = self.table_len(key);
-        let (out, len, modified) = match ftl.cache().get_mut(key) {
-            Some(page) => {
-                let (out, len, modified) =
-                    RecordTable::update_page(page, records, hop_width, len, op);
-                if modified {
-                    ftl.cache().mark_dirty(key);
-                }
-                (out, len, modified)
+        let slot = self.slot_begin(key);
+        let mut cache = ftl.cache();
+        if let Some(page) = cache.get_mut(key) {
+            let (out, len, modified) = RecordTable::update_page(page, records, hop_width, len, op);
+            if modified {
+                cache.mark_dirty(key);
             }
+            drop(cache);
+            if modified {
+                self.set_table_len(key, len);
+            }
+            self.slot_end(slot, key);
+            return Ok(out);
+        }
+        drop(cache);
+        // Readers that miss the cache read the flash copy, which stays
+        // current until the changed page is published as cached below.
+        self.slot_end(slot, key);
+        let flash = match self.table_ppa(key) {
+            Some(ppa) => {
+                let page = ftl.read_index_page(ppa)?;
+                self.index_stats_mut().metadata_flash_reads += 1;
+                Some(page)
+            }
+            None => None,
+        };
+        let mut page = match &flash {
+            Some(page) => page.clone(),
             None => {
-                let flash = match self.table_ppa(key) {
-                    Some(ppa) => {
-                        let page = ftl.read_index_page(ppa)?;
-                        self.index_stats_mut().metadata_flash_reads += 1;
-                        Some(page)
-                    }
-                    None => None,
-                };
-                let mut page = match &flash {
-                    Some(page) => page.clone(),
-                    None => {
-                        let page_size = ftl.geometry().page_size as usize;
-                        RecordTable::blank(page_size, records, hop_width).into_page()
-                    }
-                };
-                let (out, len, modified) =
-                    RecordTable::update_page(&mut page, records, hop_width, len, op);
-                if modified {
-                    self.install(ftl, key, page, true)?;
-                } else if let Some(flash) = flash {
-                    // Unchanged: cache the flash buffer itself, not a copy.
-                    self.install(ftl, key, flash, false)?;
-                }
-                (out, len, modified)
+                let page_size = ftl.geometry().page_size as usize;
+                RecordTable::blank(page_size, records, hop_width).into_page()
             }
         };
+        let (out, len, modified) = RecordTable::update_page(&mut page, records, hop_width, len, op);
         if modified {
+            let slot = self.slot_begin(key);
             self.set_table_len(key, len);
+            self.slot_end(slot, key);
+            self.install(ftl, key, page, true)?;
+        } else if let Some(flash) = flash {
+            // Unchanged: cache the flash buffer itself, not a copy.
+            self.install(ftl, key, flash, false)?;
         }
         Ok(out)
     }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use rhik_ftl::sync::{Counter, Mutex};
 
-use crate::clock;
+use crate::clock::Clock;
 
 /// Static description of one tenant, supplied in [`crate::ServerConfig`].
 #[derive(Clone, Debug)]
@@ -40,7 +40,7 @@ impl TenantSpec {
     }
 }
 
-/// Classic token bucket refilled lazily from the monotonic host clock.
+/// Classic token bucket refilled lazily from the tenant's [`Clock`].
 /// Burst capacity is a fifth of a second of quota (floor 64) so a
 /// late-arriving pipeline can still be admitted as one batch.
 struct TokenBucket {
@@ -51,10 +51,10 @@ struct TokenBucket {
 }
 
 impl TokenBucket {
-    fn new(rate_per_sec: u64) -> Self {
+    fn new(rate_per_sec: u64, now_ns: u64) -> Self {
         let rate = rate_per_sec as f64;
         let burst = (rate / 5.0).max(64.0);
-        TokenBucket { rate_per_sec: rate, burst, tokens: burst, last_ns: clock::now_ns() }
+        TokenBucket { rate_per_sec: rate, burst, tokens: burst, last_ns: now_ns }
     }
 
     fn refill(&mut self, now_ns: u64) {
@@ -95,17 +95,18 @@ pub struct Tenant {
     op_bucket: Option<Mutex<TokenBucket>>,
     byte_bucket: Option<Mutex<TokenBucket>>,
     pub stats: TenantStats,
+    clock: Clock,
     pub metric_ops: String,
     pub metric_bytes: String,
     pub metric_throttled: String,
 }
 
 impl Tenant {
-    fn new(id: usize, spec: TenantSpec) -> Self {
-        let op_bucket =
-            (spec.ops_per_sec > 0).then(|| Mutex::new(TokenBucket::new(spec.ops_per_sec)));
-        let byte_bucket =
-            (spec.bytes_per_sec > 0).then(|| Mutex::new(TokenBucket::new(spec.bytes_per_sec)));
+    fn new(id: usize, spec: TenantSpec, clock: Clock) -> Self {
+        let bucket =
+            |rate: u64| (rate > 0).then(|| Mutex::new(TokenBucket::new(rate, clock.now_ns())));
+        let op_bucket = bucket(spec.ops_per_sec);
+        let byte_bucket = bucket(spec.bytes_per_sec);
         let metric_ops = format!("server.tenant.{}.ops", spec.name);
         let metric_bytes = format!("server.tenant.{}.bytes", spec.name);
         let metric_throttled = format!("server.tenant.{}.throttled", spec.name);
@@ -115,6 +116,7 @@ impl Tenant {
             op_bucket,
             byte_bucket,
             stats: TenantStats::default(),
+            clock,
             metric_ops,
             metric_bytes,
             metric_throttled,
@@ -125,7 +127,7 @@ impl Tenant {
     /// Deferred ops cost nothing: tokens are only taken when both the op
     /// bucket and the byte bucket can cover the request.
     pub fn try_admit(&self, payload_bytes: usize) -> bool {
-        let now = clock::now_ns();
+        let now = self.clock.now_ns();
         // Peek the op bucket, then the byte bucket; only commit the op
         // token once both have room so a starved byte bucket cannot
         // silently drain the op bucket.
@@ -164,12 +166,16 @@ pub struct TenantRegistry {
 }
 
 impl TenantRegistry {
-    pub fn new(mut specs: Vec<TenantSpec>) -> Self {
+    /// Tenants whose buckets refill from `clock`.
+    pub fn new(mut specs: Vec<TenantSpec>, clock: Clock) -> Self {
         if !specs.iter().any(|s| s.name == "default") {
             specs.insert(0, TenantSpec::unlimited("default"));
         }
-        let tenants =
-            specs.into_iter().enumerate().map(|(id, s)| Arc::new(Tenant::new(id, s))).collect();
+        let tenants = specs
+            .into_iter()
+            .enumerate()
+            .map(|(id, s)| Arc::new(Tenant::new(id, s, clock.clone())))
+            .collect();
         TenantRegistry { tenants }
     }
 
@@ -361,6 +367,7 @@ mod tests {
         let t = Tenant::new(
             0,
             TenantSpec { name: "capped".into(), ops_per_sec: 1000, bytes_per_sec: 0, weight: 1 },
+            Clock::stepped(1_000),
         );
         // Burst drains, then sustained admission tracks the refill rate.
         let mut admitted = 0u64;
@@ -369,8 +376,8 @@ mod tests {
                 admitted += 1;
             }
         }
-        // Whole loop runs in far under a second: admitted ≈ burst (200)
-        // plus a sliver of refill.
+        // 10 000 reads of a 1 µs-step clock are 10 ms: admitted ≈ burst
+        // (200) plus a sliver of refill.
         assert!(admitted >= 64, "burst should admit: {admitted}");
         assert!(admitted < 2000, "quota must cap admission: {admitted}");
         assert!(t.stats.throttled.get() > 0);
@@ -379,7 +386,7 @@ mod tests {
 
     #[test]
     fn unlimited_tenant_never_throttles() {
-        let t = Tenant::new(0, TenantSpec::unlimited("default"));
+        let t = Tenant::new(0, TenantSpec::unlimited("default"), Clock::Host);
         for _ in 0..5000 {
             assert!(t.try_admit(1 << 20));
         }
@@ -388,12 +395,9 @@ mod tests {
 
     #[test]
     fn registry_always_has_default() {
-        let reg = TenantRegistry::new(vec![TenantSpec {
-            name: "alpha".into(),
-            ops_per_sec: 10,
-            bytes_per_sec: 0,
-            weight: 3,
-        }]);
+        let alpha =
+            TenantSpec { name: "alpha".into(), ops_per_sec: 10, bytes_per_sec: 0, weight: 3 };
+        let reg = TenantRegistry::new(vec![alpha], Clock::Host);
         assert_eq!(reg.default_tenant().spec.name, "default");
         assert_eq!(reg.default_tenant().id, 0);
         let alpha = reg.resolve("alpha").expect("configured tenant resolves");

@@ -32,6 +32,7 @@ use rhik_kvssd::{BatchOp, ShardedKvssd};
 use rhik_telemetry::TelemetrySink;
 
 use crate::admission::{DrrQueue, TenantRegistry, TenantSpec};
+use crate::clock::Clock;
 use crate::conn::{Connection, Mailbox};
 use crate::error_map::{reply_for, Reply};
 use crate::resp::{self, Cmd, Limits, Parse};
@@ -68,6 +69,9 @@ pub struct ServerConfig {
     pub tenants: Vec<TenantSpec>,
     /// Sink for per-tenant counters (disabled by default).
     pub telemetry: TelemetrySink,
+    /// Time source of the tenants' token buckets (the host clock by
+    /// default; tests step it).
+    pub clock: Clock,
 }
 
 impl Default for ServerConfig {
@@ -86,6 +90,7 @@ impl Default for ServerConfig {
             idle_sleep_us: 50,
             tenants: Vec::new(), // bounded-by: fixed config-time tenant list; never grows after startup
             telemetry: TelemetrySink::disabled(),
+            clock: Clock::Host,
         }
     }
 }
@@ -162,7 +167,7 @@ pub fn start<I: IndexBackend + Send + 'static>(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let registry = TenantRegistry::new(cfg.tenants.clone());
+    let registry = TenantRegistry::new(cfg.tenants.clone(), cfg.clock.clone());
     let weights: Vec<u32> = registry.all().iter().map(|t| t.spec.weight).collect();
     let queues = (0..device.shard_count())
         .map(|_| Mutex::new(DrrQueue::new(cfg.quantum_bytes, cfg.lane_cap, &weights)))

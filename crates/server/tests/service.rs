@@ -7,11 +7,19 @@ use std::time::{Duration, Instant};
 use common::{Client, RespValue};
 use rhik_audit::DeviceAuditor;
 use rhik_kvssd::{DeviceConfig, ShardedKvssd};
+use rhik_server::clock::Clock;
 use rhik_server::{ServerConfig, TenantSpec};
 
 fn test_server(tenants: Vec<TenantSpec>) -> rhik_server::ServerHandle<rhik_core::RhikIndex> {
+    test_server_on(tenants, Clock::Host)
+}
+
+fn test_server_on(
+    tenants: Vec<TenantSpec>,
+    clock: Clock,
+) -> rhik_server::ServerHandle<rhik_core::RhikIndex> {
     let device = ShardedKvssd::rhik(DeviceConfig::small().with_shards(4).with_hot_cache(64 * 1024));
-    let cfg = ServerConfig { workers: 2, tenants, ..ServerConfig::default() };
+    let cfg = ServerConfig { workers: 2, tenants, clock, ..ServerConfig::default() };
     rhik_server::start(device, cfg).expect("server start")
 }
 
@@ -113,12 +121,13 @@ fn auth_binds_tenants_and_rejects_unknown() {
 #[test]
 fn quota_caps_admission_rate() {
     let quota = 400u64;
-    let server = test_server(vec![TenantSpec {
-        name: "capped".into(),
-        ops_per_sec: quota,
-        bytes_per_sec: 0,
-        weight: 1,
-    }]);
+    // The buckets run on a clock that moves 10 µs per admission attempt,
+    // not with the host: at most one attempt per 50 µs idle pass while
+    // throttled keeps server time well behind wall time, and the burst
+    // drains after the same number of ops however loaded the host is.
+    let tenants =
+        vec![TenantSpec { name: "capped".into(), ops_per_sec: quota, bytes_per_sec: 0, weight: 1 }];
+    let server = test_server_on(tenants, Clock::stepped(10_000));
     let mut c = Client::connect(server.addr());
     assert_eq!(c.cmd(&[b"AUTH", b"capped"]), RespValue::Simple("OK".into()));
 
