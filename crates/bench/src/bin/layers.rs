@@ -9,6 +9,11 @@
 //! * `page_insert` / `page_update` — insert a new signature into, or
 //!   repoint an existing one on, a uniquely owned cached page in place;
 //! * `cache_get` — `IndexPageCache::get` hit;
+//! * `head_find` — `layout::find_in_head` of a present signature on a
+//!   full head page of 120-byte values (what a get or an update pays per
+//!   head-page read);
+//! * `store_pair` — `Ftl::store_pair` of a 128-byte value into the open
+//!   head page (programming each page as it fills);
 //! * `device_locate` / `device_get` / `device_put` — `KvssdDevice` index
 //!   lookup, full get, and overwrite on a preloaded device.
 //!
@@ -28,7 +33,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use rhik_bench::{emit_json, render_table};
 use rhik_core::{RecordTable, RhikConfig};
-use rhik_ftl::IndexPageCache;
+use rhik_ftl::layout::{self, PageBuilder};
+use rhik_ftl::{Ftl, FtlConfig, IndexPageCache};
 use rhik_kvssd::{DeviceConfig, KvssdDevice};
 use rhik_nand::Ppa;
 use rhik_sigs::{KeySignature, SigHasher};
@@ -36,6 +42,8 @@ use serde_json::json;
 
 const BATCHES: usize = 7;
 const VALUE_BYTES: usize = 128;
+/// Value size of the pairs packed into the `head_find` page.
+const HEAD_VALUE_BYTES: usize = 120;
 
 fn key(i: u64) -> Vec<u8> {
     format!("key-{i:012}").into_bytes()
@@ -148,8 +156,48 @@ fn measure(g: &Geometry, smoke: bool) -> Vec<(&'static str, f64)> {
         }),
     ));
 
-    let mut dev = KvssdDevice::rhik(g.cfg);
+    let mut head = PageBuilder::new(page_size);
+    let mut head_sigs = Vec::new();
+    while head.fits(16, HEAD_VALUE_BYTES) {
+        let k = key(head_sigs.len() as u64);
+        let sig = hasher.sign(&k);
+        head.append_pair(sig, &k, &[0x5a; HEAD_VALUE_BYTES], 0);
+        head_sigs.push(sig);
+    }
+    let head = head.finish();
+    rows.push((
+        "head_find",
+        time_ns(scale(20_000), |i| {
+            let sig = head_sigs[i as usize % head_sigs.len()];
+            black_box(layout::find_in_head(&head, page_size, sig));
+        }),
+    ));
+
+    // Each batch stores into a fresh FTL (built outside the timed loop)
+    // so the device never fills.
+    let ftl_cfg = FtlConfig {
+        geometry: g.cfg.geometry,
+        profile: g.cfg.profile,
+        cache_budget_bytes: g.cfg.cache_budget_bytes,
+        gc_reserve_blocks: g.cfg.gc_reserve_blocks,
+    };
+    let stores = scale(20_000);
     let value = vec![0x5a; VALUE_BYTES];
+    let mut samples = Vec::new();
+    for b in 0..BATCHES as u64 {
+        let mut ftl = Ftl::new(ftl_cfg);
+        let start = Instant::now();
+        for i in 0..stores {
+            let k = &keys[i as usize % keys.len()];
+            let sig = KeySignature(b << 32 | i);
+            black_box(ftl.store_pair(sig, k, &value, 0).expect("store_pair"));
+        }
+        samples.push(start.elapsed().as_nanos() as f64 / stores as f64);
+    }
+    samples.sort_by(f64::total_cmp);
+    rows.push(("store_pair", samples[BATCHES / 2]));
+
+    let mut dev = KvssdDevice::rhik(g.cfg);
     for i in 0..g.keys {
         dev.put(&key(i), &value).expect("preload put");
     }

@@ -106,15 +106,6 @@ fn run_mode(
     if audit.audits_run > 0 {
         eprintln!("[{label}] --audit: {} clean cross-layer audits", audit.audits_run);
     }
-    if std::env::var_os("RHIK_RT_DEBUG").is_some() {
-        let mut worst: Vec<(u64, usize)> =
-            latencies_ns.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        worst.sort_unstable_by(|a, b| b.cmp(a));
-        eprintln!("[{label}] begins {begins:?} ends {ends:?}");
-        for &(l, i) in worst.iter().take(8) {
-            eprintln!("[{label}] op {i}: {:.3} ms", l as f64 / 1e6);
-        }
-    }
     let stats = dev.index().stats().clone();
     ModeRun {
         label,

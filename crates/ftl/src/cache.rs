@@ -18,6 +18,7 @@
 //! the shard's lock-free readers can probe cached record pages in place.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -25,6 +26,27 @@ use bytes::Bytes;
 use crate::sync::{Mutex, MutexGuard};
 
 const NIL: usize = usize::MAX;
+
+/// Multiplicative hashing of the map's `u64` page keys (generation bits
+/// high, slot bits low), folded so both halves reach every output bit.
+#[derive(Clone, Copy, Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (key ^ key >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 struct Node {
     key: u64,
@@ -68,7 +90,7 @@ impl CacheStats {
 pub struct IndexPageCache {
     budget: usize,
     used: usize,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<PageKeyHasher>>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -84,7 +106,7 @@ impl IndexPageCache {
             used: 0,
             // bounded-by: eviction keeps `used <= budget`, capping the
             // resident pages the byte budget admits.
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(), // bounded-by: one node per resident page (see map)
             free: Vec::new(), // bounded-by: recycled slab slots; never exceeds slab len
             head: NIL,
@@ -160,17 +182,19 @@ impl IndexPageCache {
         }
     }
 
-    /// [`get`](Self::get) for an in-place update: refreshes recency and
-    /// counts a hit or miss exactly as `get` does. The caller must keep
-    /// the buffer's length (the budget is charged by length) and
-    /// [`mark_dirty`](Self::mark_dirty) the entry once it changed it.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut Bytes> {
+    /// [`get`](Self::get) for a probe or an in-place update, in one map
+    /// visit: refreshes recency, counts a hit or miss exactly as `get`
+    /// does, and lends the buffer with its dirty flag. The caller must
+    /// keep the buffer's length (the budget is charged by length) and set
+    /// the flag once it changed the buffer.
+    pub fn get_mut(&mut self, key: u64) -> Option<(&mut Bytes, &mut bool)> {
         match self.map.get(&key).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
                 self.detach(idx);
                 self.push_front(idx);
-                Some(&mut self.slab[idx].data)
+                let node = &mut self.slab[idx];
+                Some((&mut node.data, &mut node.dirty))
             }
             None => {
                 self.stats.misses += 1;
@@ -276,13 +300,6 @@ impl IndexPageCache {
         Evicted { key: node.key, data: node.data, dirty: node.dirty }
     }
 
-    /// Mark a cached entry dirty (no-op if absent).
-    pub fn mark_dirty(&mut self, key: u64) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.slab[idx].dirty = true;
-        }
-    }
-
     /// Remove `key` outright (e.g. table retired by a resize).
     pub fn remove(&mut self, key: u64) -> Option<Evicted> {
         let idx = self.map.get(&key).copied()?;
@@ -350,7 +367,7 @@ impl SharedPageCache {
     /// [`IndexPageCache::get`] does. The buffer is not cloned, so a later
     /// in-place update of the page never has to copy it.
     pub fn probe<T>(&self, key: u64, probe: impl FnOnce(&[u8]) -> T) -> Option<T> {
-        self.lock().get_mut(key).map(|page| probe(&page[..]))
+        self.lock().get_mut(key).map(|(page, _)| probe(&page[..]))
     }
 }
 
@@ -391,9 +408,14 @@ mod tests {
         assert!(c.get_mut(1).is_none());
         c.insert(1, page(1, 100), false);
         c.insert(2, page(2, 100), false);
-        *c.get_mut(1).unwrap() = page(7, 100);
+        let (data, dirty) = c.get_mut(1).unwrap();
+        assert!(!*dirty);
+        *data = page(7, 100);
         assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
         assert!(!c.is_dirty(1), "get_mut leaves marking dirty to the caller");
+        *c.get_mut(1).unwrap().1 = true;
+        assert!(c.is_dirty(1), "the lent flag is the entry's");
+        assert_eq!((c.stats().hits, c.stats().misses), (2, 1));
         // 1 is now MRU, so inserting 3 evicts 2.
         assert_eq!(c.insert(3, page(3, 100), false)[0].key, 2);
         assert_eq!(c.peek(1).unwrap(), &page(7, 100));
@@ -527,15 +549,6 @@ mod tests {
         assert!(!c.is_dirty(1));
         // Entries are still resident after a drain.
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn mark_dirty_after_get() {
-        let mut c = IndexPageCache::new(100);
-        c.insert(1, page(1, 10), false);
-        c.mark_dirty(1);
-        assert!(c.is_dirty(1));
-        c.mark_dirty(99); // absent: no-op
     }
 
     #[test]

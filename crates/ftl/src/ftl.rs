@@ -1,6 +1,5 @@
 //! The firmware context: flash + allocator + cache + log writers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -10,7 +9,7 @@ use rhik_telemetry::{Stage, StageEvent, TelemetrySink};
 
 use crate::alloc::{BlockAllocator, NeedsGc, Stream};
 use crate::cache::{IndexPageCache, SharedPageCache};
-use crate::layout::{PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
+use crate::layout::{PageBuilder, PairRef, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
 use crate::sync::{Mutex, MutexGuard};
 use crate::traits::TimedOp;
 
@@ -86,6 +85,60 @@ impl WrittenExtent {
     pub fn bytes(&self) -> u64 {
         self.head_bytes + self.cont_bytes
     }
+
+    /// Where the head record `pair`, stored in head page `head`, lives.
+    fn of_record(head: Ppa, pair: &PairRef<'_>, page_size: u32) -> Self {
+        let cont_bytes = u64::from(pair.val_total_len) - pair.value_frag.len() as u64;
+        WrittenExtent {
+            head,
+            cont_start: pair.cont_start,
+            cont_pages: cont_bytes.div_ceil(u64::from(page_size)) as u32,
+            head_bytes: (RECORD_PREFIX_LEN + pair.key.len() + pair.value_frag.len() + SIG_ENTRY_LEN)
+                as u64,
+            cont_bytes,
+        }
+    }
+}
+
+/// The open head page: the DRAM write buffer. Its builder holds every
+/// pair appended since the page opened, and pending lookups scan its
+/// signature entries newest first.
+struct OpenHead {
+    ppa: Ppa,
+    builder: PageBuilder,
+    /// `(sig, n)`: `sig`'s pairs among the first `n` appended were dropped
+    /// (deleted or abandoned before the page programmed); a later re-put
+    /// of `sig` is visible again.
+    dropped: Vec<(KeySignature, usize)>,
+}
+
+impl OpenHead {
+    fn new(ppa: Ppa, page_size: usize) -> Self {
+        // bounded-by: one entry per drop of a visible pair, so at most the
+        // page's pair count.
+        OpenHead { ppa, builder: PageBuilder::new(page_size), dropped: Vec::new() }
+    }
+
+    /// The newest pair buffered for `sig`, unless it was dropped.
+    fn pending(&self, sig: KeySignature) -> Option<PairRef<'_>> {
+        let (i, pair) = self.builder.newest(sig)?;
+        let dropped = self.dropped.iter().any(|&(s, n)| s == sig && i < n);
+        (!dropped).then_some(pair)
+    }
+
+    /// Every pair still buffered: the newest visible entry per signature.
+    fn pending_pairs(&self) -> Vec<(KeySignature, PairRef<'_>)> {
+        let mut out: Vec<(KeySignature, PairRef<'_>)> = Vec::new();
+        for i in (0..self.builder.pair_count() as usize).rev() {
+            let Some((sig, _)) = self.builder.pair(i) else { continue };
+            if out.iter().all(|&(s, _)| s != sig) {
+                if let Some(pair) = self.pending(sig) {
+                    out.push((sig, pair));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// FTL configuration.
@@ -129,8 +182,6 @@ pub struct FtlStats {
     pub index_page_reads: u64,
     pub index_page_programs: u64,
     pub block_erases: u64,
-    /// Pairs currently buffered in the open head page (DRAM write buffer).
-    pub pending_pairs: u64,
     pub gc_runs: u64,
     pub gc_relocated_pairs: u64,
     pub gc_erased_blocks: u64,
@@ -162,13 +213,10 @@ pub struct Ftl {
     /// the plain flash-read/program stages (GC runs, resize batches).
     stage_scope: Option<Stage>,
 
-    /// Open head page being packed (DRAM write buffer).
-    data_builder: Option<(Ppa, PageBuilder)>,
-    /// Pairs whose head record is still buffering, retrievable before
-    /// flush: key, the head fragment of the value (bodies are already on
-    /// flash — keeping whole values here would be an unbounded DRAM write
-    /// buffer), and where the pair lives.
-    pending: HashMap<KeySignature, (Bytes, Bytes, WrittenExtent)>,
+    /// Open head page being packed — the DRAM write buffer, and the only
+    /// copy of its pairs' head records until it programs (value bodies
+    /// are already on flash).
+    data_builder: Option<OpenHead>,
 }
 
 impl Ftl {
@@ -186,9 +234,6 @@ impl Ftl {
             stage_log: Vec::new(), // bounded-by: device drains it every op (drain_stage_log)
             stage_scope: None,
             data_builder: None,
-            // bounded-by: cleared when the head page programs; holds at
-            // most one index page's worth of staged pairs.
-            pending: HashMap::new(),
         }
     }
 
@@ -211,9 +256,6 @@ impl Ftl {
             stage_log: Vec::new(), // bounded-by: device drains it every op (drain_stage_log)
             stage_scope: None,
             data_builder: None,
-            // bounded-by: cleared when the head page programs; holds at
-            // most one index page's worth of staged pairs.
-            pending: HashMap::new(),
         }
     }
 
@@ -285,9 +327,13 @@ impl Ftl {
 
     #[inline]
     pub fn stats(&self) -> FtlStats {
-        let mut s = self.stats;
-        s.pending_pairs = self.pending.len() as u64;
-        s
+        self.stats
+    }
+
+    /// Pairs currently buffered in the open head page (DRAM write
+    /// buffer). Scans the page; diagnostics and tests only.
+    pub fn pending_pairs(&self) -> u64 {
+        self.data_builder.as_ref().map_or(0, |open| open.pending_pairs().len() as u64)
     }
 
     #[inline]
@@ -491,17 +537,20 @@ impl Ftl {
         // Stage the head record. If the head page cannot be allocated, the
         // body pages just written would be orphaned — mark them stale so GC
         // can reclaim them before propagating the error.
-        if let Err(e) = self.ensure_head_room(key.len(), frag) {
-            if let Some(cont) = cont_start {
-                let m = self.alloc.meta_mut(cont.block);
-                m.stale_bytes += body_bytes as u64;
-                m.live_bytes = m.live_bytes.saturating_sub(body_bytes as u64);
+        let open = match self.ensure_head_room(key.len(), frag) {
+            Ok(open) => open,
+            Err(e) => {
+                if let Some(cont) = cont_start {
+                    let m = self.alloc.meta_mut(cont.block);
+                    m.stale_bytes += body_bytes as u64;
+                    m.live_bytes = m.live_bytes.saturating_sub(body_bytes as u64);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        let (head, builder) = self.data_builder.as_mut().expect("ensured above");
-        let head = *head;
-        builder.append_pair_with_frag(sig, key, value, frag, cont_start, flags);
+        };
+        let head = open.ppa;
+        open.builder.append_pair_with_frag(sig, key, value, frag, cont_start, flags);
+        let full = !open.builder.fits(0, 0);
         let head_bytes = (overhead + frag) as u64;
         self.alloc.meta_mut(head.block).live_bytes += head_bytes;
         let extent = WrittenExtent {
@@ -511,11 +560,7 @@ impl Ftl {
             head_bytes,
             cont_bytes: body_bytes as u64,
         };
-        self.pending.insert(
-            sig,
-            (Bytes::copy_from_slice(key), Bytes::copy_from_slice(&value[..frag]), extent),
-        );
-        if !self.data_builder.as_ref().expect("still staged").1.fits(0, 0) {
+        if full {
             // Page effectively full: flush eagerly so space is visible.
             self.flush_data_builder()?;
         }
@@ -523,67 +568,69 @@ impl Ftl {
         Ok(extent)
     }
 
-    /// Guarantee the head-page builder can accept a record of `key_len`
-    /// with a `frag`-byte value fragment.
-    fn ensure_head_room(&mut self, key_len: usize, frag: usize) -> Result<(), FtlError> {
-        let page = self.geometry().page_size as usize;
-        if let Some((_, b)) = &self.data_builder {
-            if b.fits(key_len, frag) {
-                return Ok(());
-            }
+    /// The open head page, with room for a record of `key_len` with a
+    /// `frag`-byte value fragment.
+    fn ensure_head_room(&mut self, key_len: usize, frag: usize) -> Result<&mut OpenHead, FtlError> {
+        if self.data_builder.as_ref().is_some_and(|open| !open.builder.fits(key_len, frag)) {
             self.flush_data_builder()?;
         }
-        if self.data_builder.is_none() {
-            let ppa = self.alloc.next_page(Stream::Data, false).map_err(FtlError::from)?;
-            self.data_builder = Some((ppa, PageBuilder::new(page)));
-        }
-        Ok(())
+        let open = match self.data_builder.take() {
+            Some(open) => open,
+            None => {
+                let ppa = self.alloc.next_page(Stream::Data, false).map_err(FtlError::from)?;
+                OpenHead::new(ppa, self.geometry.page_size as usize)
+            }
+        };
+        Ok(self.data_builder.insert(open))
     }
 
-    /// Program the open head page (if any) and clear the pending map.
+    /// Program the open head page (if any), emptying the write buffer.
     pub fn flush_data_builder(&mut self) -> Result<(), FtlError> {
-        if let Some((ppa, builder)) = self.data_builder.take() {
-            if builder.is_empty() {
+        if let Some(open) = self.data_builder.take() {
+            if open.builder.is_empty() {
                 // Nothing packed: re-stage the same page for the next pair.
-                self.data_builder = Some((ppa, builder));
+                self.data_builder = Some(open);
                 return Ok(());
             }
-            let data = builder.finish();
-            self.program(ppa, data, SpareMeta::head_page(), false)?;
-            self.pending.clear();
+            let data = open.builder.finish();
+            self.program(open.ppa, data, SpareMeta::head_page(), false)?;
         }
         Ok(())
     }
 
     /// Simulate a power loss: every DRAM-resident structure vanishes — the
-    /// index-page cache, the buffered head page, and the pending map. Flash
-    /// contents and block accounting survive (the emulator's allocator
-    /// state stands in for the scan real firmware would do over spare
-    /// areas at mount time). Pairs whose head record had not been flushed
-    /// are lost, exactly as the paper's periodically-persisted metadata
-    /// design implies.
+    /// index-page cache and the buffered head page. Flash contents and
+    /// block accounting survive (the emulator's allocator state stands in
+    /// for the scan real firmware would do over spare areas at mount
+    /// time). Pairs whose head record had not been flushed are lost,
+    /// exactly as the paper's periodically-persisted metadata design
+    /// implies.
     pub fn simulate_power_loss(&mut self) {
         let mut cache = self.cache.lock();
         *cache = IndexPageCache::new(cache.budget_bytes());
         drop(cache);
-        if let Some((head, _builder)) = self.data_builder.take() {
-            // The buffered head records never reached flash; their bytes
-            // (and the reserved head page) are dead weight until the block
-            // is erased.
-            let lost: u64 = self.pending.values().map(|(_, _, e)| e.head_bytes).sum();
-            let m = self.alloc.meta_mut(head.block);
-            m.stale_bytes += lost;
-            m.live_bytes = m.live_bytes.saturating_sub(lost);
-        }
+        let Some(open) = self.data_builder.take() else { return };
+        let page_size = self.geometry.page_size;
+        let lost: Vec<WrittenExtent> = open
+            .pending_pairs()
+            .iter()
+            .map(|(_, pair)| WrittenExtent::of_record(open.ppa, pair, page_size))
+            .collect();
+        // The buffered head records never reached flash; their bytes (and
+        // the reserved head page) are dead weight until the block is
+        // erased.
+        let lost_head: u64 = lost.iter().map(|e| e.head_bytes).sum();
+        let m = self.alloc.meta_mut(open.ppa.block);
+        m.stale_bytes += lost_head;
+        m.live_bytes = m.live_bytes.saturating_sub(lost_head);
         // Orphaned bodies of lost pairs become stale garbage.
-        for (_, _, extent) in self.pending.values() {
+        for extent in &lost {
             if let Some(cont) = extent.cont_start {
                 let m = self.alloc.meta_mut(cont.block);
                 m.stale_bytes += extent.cont_bytes;
                 m.live_bytes = m.live_bytes.saturating_sub(extent.cont_bytes);
             }
         }
-        self.pending.clear();
     }
 
     /// Every programmed page on the device, in (block, page) order — the
@@ -614,17 +661,20 @@ impl Ftl {
     /// key and the *head fragment* of its value (any page-aligned body is
     /// on flash; see [`Ftl::pending_extent`] for where).
     pub fn pending_pair(&self, sig: KeySignature) -> Option<(Bytes, Bytes)> {
-        self.pending.get(&sig).map(|(k, v, _)| (k.clone(), v.clone()))
+        let pair = self.data_builder.as_ref()?.pending(sig)?;
+        Some((Bytes::copy_from_slice(pair.key), Bytes::copy_from_slice(pair.value_frag)))
     }
 
     /// The staged extent of a pending pair.
     pub fn pending_extent(&self, sig: KeySignature) -> Option<WrittenExtent> {
-        self.pending.get(&sig).map(|(_, _, e)| *e)
+        let open = self.data_builder.as_ref()?;
+        let pair = open.pending(sig)?;
+        Some(WrittenExtent::of_record(open.ppa, &pair, self.geometry.page_size))
     }
 
     /// Head page of the open builder (its pairs are pending).
     pub fn pending_head(&self) -> Option<Ppa> {
-        self.data_builder.as_ref().map(|(ppa, _)| *ppa)
+        self.data_builder.as_ref().map(|open| open.ppa)
     }
 
     /// Force the buffered head page out of `block` so GC can erase it.
@@ -638,10 +688,10 @@ impl Ftl {
     /// reserved page to the erase.
     pub(crate) fn evict_pending_head(&mut self, block: u32) -> Result<(), FtlError> {
         match &self.data_builder {
-            Some((head, _)) if head.block == block => {}
+            Some(open) if open.ppa.block == block => {}
             _ => return Ok(()),
         }
-        if self.data_builder.as_ref().is_some_and(|(_, b)| b.is_empty()) {
+        if self.data_builder.as_ref().is_some_and(|open| open.builder.is_empty()) {
             self.data_builder = None;
             return Ok(());
         }
@@ -667,13 +717,21 @@ impl Ftl {
             m.stale_bytes += extent.cont_bytes;
             m.live_bytes = m.live_bytes.saturating_sub(extent.cont_bytes);
         }
-        // Pending write-buffer copies are removed by signature via
+        // A pair still in the write buffer is hidden by signature via
         // `drop_pending`.
     }
 
-    /// Remove a pending pair from the write buffer (delete-before-flush).
+    /// Hide a pending pair's buffered entries (delete-before-flush, or a
+    /// store the index rejected). They still program with the page, as
+    /// dead bytes the caller has already marked stale; a later store of
+    /// `sig` is visible again.
     pub fn drop_pending(&mut self, sig: KeySignature) {
-        self.pending.remove(&sig);
+        if let Some(open) = &mut self.data_builder {
+            if open.pending(sig).is_some() {
+                let appended = open.builder.pair_count() as usize;
+                open.dropped.push((sig, appended));
+            }
+        }
     }
 
     // --------------------------------------------------------------- index
@@ -851,6 +909,8 @@ impl std::fmt::Debug for MediaReader {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::layout;
 
@@ -868,7 +928,7 @@ mod tests {
         let e1 = f.store_pair(sig(1), b"k1", b"v1", 0).unwrap();
         let e2 = f.store_pair(sig(2), b"k2", b"v2", 0).unwrap();
         assert_eq!(e1.head, e2.head, "small pairs share a head page");
-        assert_eq!(f.stats().pending_pairs, 2);
+        assert_eq!(f.pending_pairs(), 2);
         assert_eq!(f.stats().data_page_programs, 0, "still buffered");
 
         let (k, v) = f.pending_pair(sig(1)).unwrap();
@@ -877,7 +937,7 @@ mod tests {
 
         f.flush_data_builder().unwrap();
         assert_eq!(f.stats().data_page_programs, 1);
-        assert_eq!(f.stats().pending_pairs, 0);
+        assert_eq!(f.pending_pairs(), 0);
 
         // After flush the page decodes to both pairs.
         let (d, s) = f.read_data_page(e1.head).unwrap();
@@ -942,7 +1002,7 @@ mod tests {
             assert!(e.head_bytes < 40);
         }
         // All 8 head records share one buffered head page.
-        assert_eq!(f.stats().pending_pairs, 8);
+        assert_eq!(f.pending_pairs(), 8);
         assert_eq!(f.stats().data_page_programs, 8, "8 full body pages only");
     }
 
@@ -1053,10 +1113,10 @@ mod tests {
     fn power_loss_clears_dram_state() {
         let mut f = ftl();
         f.store_pair(sig(1), b"k", &[0u8; 64], 0).unwrap();
-        assert_eq!(f.stats().pending_pairs, 1);
+        assert_eq!(f.pending_pairs(), 1);
         f.cache().insert(42, bytes::Bytes::from(vec![0u8; 64]), true);
         f.simulate_power_loss();
-        assert_eq!(f.stats().pending_pairs, 0);
+        assert_eq!(f.pending_pairs(), 0);
         assert!(f.cache_ref().is_empty());
         assert_eq!(f.pending_pair(sig(1)), None);
         // The lost pair's bytes are accounted stale so GC can reclaim.
@@ -1094,5 +1154,95 @@ mod tests {
         f.mark_stale(&e);
         f.drop_pending(sig(1));
         assert_eq!(f.pending_pair(sig(1)), None);
+    }
+
+    #[test]
+    fn re_put_after_drop_in_the_same_page_is_visible() {
+        let mut f = ftl();
+        let e = f.store_pair(sig(1), b"k", b"v1", 0).unwrap();
+        f.mark_stale(&e);
+        f.drop_pending(sig(1));
+        assert_eq!(f.pending_extent(sig(1)), None);
+        assert_eq!(f.pending_pairs(), 0);
+
+        let again = f.store_pair(sig(1), b"k", b"v2", 0).unwrap();
+        assert_eq!(again.head, e.head, "the re-put lands in the same open page");
+        let (k, v) = f.pending_pair(sig(1)).expect("re-put is visible");
+        assert_eq!((&k[..], &v[..]), (&b"k"[..], &b"v2"[..]));
+        assert_eq!(f.pending_extent(sig(1)), Some(again));
+        assert_eq!(f.pending_pairs(), 1);
+
+        // Dropping again hides the re-put too; other pairs stay visible.
+        f.store_pair(sig(2), b"k2", b"w", 0).unwrap();
+        f.drop_pending(sig(1));
+        assert_eq!(f.pending_pair(sig(1)), None);
+        assert_eq!(&f.pending_pair(sig(2)).unwrap().1[..], b"w");
+        assert_eq!(f.pending_pairs(), 1);
+    }
+
+    #[test]
+    fn in_page_update_pending_extent_is_the_newest_entry() {
+        let mut f = ftl();
+        let old = f.store_pair(sig(3), b"key", &[1u8; 40], 0).unwrap();
+        let value = vec![2u8; 1100]; // 512-byte pages: frag 76 + 2 body pages
+        let new = f.store_pair(sig(3), b"key", &value, 0).unwrap();
+        assert_eq!(old.head, new.head, "the update lands in the same open page");
+        assert_ne!(old, new);
+        assert_eq!(f.pending_extent(sig(3)), Some(new));
+        assert_eq!(&f.pending_pair(sig(3)).unwrap().1[..], &value[..76]);
+        assert_eq!(f.pending_pairs(), 1, "one pair, two buffered entries");
+    }
+
+    /// Store `n`'s `len`-byte value, retiring the version `model` holds.
+    fn put(f: &mut Ftl, model: &mut HashMap<u64, WrittenExtent>, n: u64, len: usize) {
+        let key = format!("key{n}");
+        let e = f.store_pair(sig(n), key.as_bytes(), &vec![n as u8; len], 0).unwrap();
+        if let Some(old) = model.insert(n, e) {
+            f.mark_stale(&old);
+        }
+    }
+
+    fn delete(f: &mut Ftl, model: &mut HashMap<u64, WrittenExtent>, n: u64) {
+        if let Some(old) = model.remove(&n) {
+            f.mark_stale(&old);
+            f.drop_pending(sig(n));
+        }
+    }
+
+    #[test]
+    fn power_loss_stales_exactly_the_lost_pairs() {
+        let mut f = ftl();
+        let mut model = HashMap::new();
+        put(&mut f, &mut model, 1, 60);
+        put(&mut f, &mut model, 2, 1100);
+        put(&mut f, &mut model, 3, 30);
+        f.flush_data_builder().unwrap();
+        // The open page: an update of a flushed pair, an in-page update
+        // that drops a body, a re-put after a drop, dropped pairs with
+        // and without a body, and a buffered pair with a body.
+        put(&mut f, &mut model, 4, 600);
+        put(&mut f, &mut model, 1, 50);
+        put(&mut f, &mut model, 5, 20);
+        delete(&mut f, &mut model, 5);
+        put(&mut f, &mut model, 5, 25);
+        put(&mut f, &mut model, 4, 20);
+        put(&mut f, &mut model, 7, 10);
+        delete(&mut f, &mut model, 7);
+        put(&mut f, &mut model, 8, 530);
+        delete(&mut f, &mut model, 8);
+        put(&mut f, &mut model, 9, 1030);
+        let head = f.pending_head().expect("open page");
+        assert!(model.values().filter(|e| e.head == head).count() == 4, "script fits one page");
+
+        let lost: Vec<_> = model.values().filter(|e| e.head == head).collect();
+        let lost_head: u64 = lost.iter().map(|e| e.head_bytes).sum();
+        let lost_cont: u64 = lost.iter().map(|e| e.cont_bytes).sum();
+        // The totals the per-signature pending map produced on this script.
+        assert_eq!((lost_head, lost_cont), (221, 1024));
+        let (stale, live) = (f.total_stale_bytes(), f.total_live_bytes());
+        f.simulate_power_loss();
+        assert_eq!(f.total_stale_bytes(), stale + lost_head + lost_cont);
+        assert_eq!(f.total_live_bytes(), live - lost_head - lost_cont);
+        assert_eq!(f.pending_head(), None);
     }
 }

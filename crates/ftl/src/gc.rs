@@ -685,6 +685,38 @@ mod tests {
         assert_eq!(index.lookup(&mut ftl, sig(2)).unwrap(), None);
     }
 
+    /// The extent-block scan meets owners whose head record is still in
+    /// the write buffer: a body the buffered (live) version owns blocks
+    /// the collection; a body only a superseded version owned is
+    /// discarded and the block erased.
+    #[test]
+    fn extent_scan_handles_buffered_owners() {
+        let mut ftl = Ftl::new(FtlConfig::tiny());
+        let mut index = MapIndex::default();
+        let e = ftl.store_pair(sig(1), b"big", &[1u8; 1100], 0).unwrap();
+        index.insert(&mut ftl, sig(1), e.head).unwrap();
+        assert_eq!(ftl.pending_head(), Some(e.head), "head record still buffered");
+        let block = e.cont_start.expect("body in the extent partition").block;
+        ftl.alloc_mut().close_open_block(crate::alloc::Stream::Extent);
+
+        let mut report = GcReport::default();
+        assert!(!clean_extent_block(&mut ftl, &mut index, block, &mut report).unwrap());
+        assert_eq!(ftl.block_write_ptr(block), e.cont_pages, "nothing erased");
+        assert_eq!(report.pairs_discarded, 0);
+
+        // An in-page update without a body supersedes the buffered owner.
+        let update = ftl.store_pair(sig(1), b"big", &[2u8; 40], 0).unwrap();
+        assert_eq!(update.head, e.head);
+        ftl.mark_stale(&e);
+        index.insert(&mut ftl, sig(1), update.head).unwrap();
+        let mut report = GcReport::default();
+        assert!(clean_extent_block(&mut ftl, &mut index, block, &mut report).unwrap());
+        assert_eq!((report.pairs_discarded, report.pairs_relocated), (1, 0));
+        assert_eq!(ftl.block_write_ptr(block), 0, "block erased");
+        assert_eq!(ftl.pending_extent(sig(1)), Some(update));
+        assert_eq!(&ftl.pending_pair(sig(1)).unwrap().1[..], &[2u8; 40][..]);
+    }
+
     #[test]
     fn cost_benefit_prefers_cheap_victims() {
         use crate::alloc::BlockMeta;

@@ -169,6 +169,56 @@ impl PairEntry {
     }
 }
 
+/// One pair record, parsed in place: the key and head fragment borrow the
+/// page (or open-page buffer) they were read from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PairRef<'a> {
+    pub key: &'a [u8],
+    /// The head-page fragment of the value.
+    pub value_frag: &'a [u8],
+    /// Total value length across head + continuation pages.
+    pub val_total_len: u32,
+    /// First continuation page in the extent partition, if any.
+    pub cont_start: Option<Ppa>,
+    pub flags: u8,
+}
+
+/// Parse a signature-info entry: signature, record offset, fragment
+/// length.
+fn parse_sig_entry(e: &[u8]) -> Option<(KeySignature, u16, u32)> {
+    let sig = KeySignature(u64::from_le_bytes(e.get(..8)?.try_into().ok()?));
+    let offset = u16::from_le_bytes(e.get(8..10)?.try_into().ok()?);
+    let frag_len = u32::from_le_bytes(e.get(10..14)?.try_into().ok()?);
+    Some((sig, offset, frag_len))
+}
+
+/// Parse the pair record at `off` carrying a `frag_len`-byte head
+/// fragment. `None` unless the whole record lies within `records`.
+fn parse_record(records: &[u8], off: usize, frag_len: u32) -> Option<PairRef<'_>> {
+    if off + RECORD_PREFIX_LEN > records.len() {
+        return None;
+    }
+    let key_len = u16::from_le_bytes(records[off..off + 2].try_into().ok()?) as usize;
+    let val_total_len = u32::from_le_bytes(records[off + 2..off + 6].try_into().ok()?);
+    let flags = records[off + 6];
+    let cont_raw: [u8; Ppa::PACKED_LEN] = records[off + 7..off + 12].try_into().ok()?;
+    let cont_start =
+        if cont_raw == [0xff; Ppa::PACKED_LEN] { None } else { Some(Ppa::from_bytes(cont_raw)) };
+    let key_start = off + RECORD_PREFIX_LEN;
+    let frag_start = key_start + key_len;
+    let frag_end = frag_start + frag_len as usize;
+    if frag_end > records.len() || frag_len > val_total_len {
+        return None;
+    }
+    Some(PairRef {
+        key: &records[key_start..frag_start],
+        value_frag: &records[frag_start..frag_end],
+        val_total_len,
+        cont_start,
+        flags,
+    })
+}
+
 /// Incremental builder for a head page.
 ///
 /// Pairs are appended until [`PageBuilder::fits`] says no; the caller then
@@ -268,6 +318,22 @@ impl PageBuilder {
         self.pair_count += 1;
     }
 
+    /// The `i`-th pair appended (0 = oldest), parsed in place.
+    pub(crate) fn pair(&self, i: usize) -> Option<(KeySignature, PairRef<'_>)> {
+        let e = self.sig_entries.get(i * SIG_ENTRY_LEN..(i + 1) * SIG_ENTRY_LEN)?;
+        let (sig, offset, frag_len) = parse_sig_entry(e)?;
+        Some((sig, parse_record(&self.data, offset as usize, frag_len)?))
+    }
+
+    /// The newest pair appended for `sig` and its position, found by
+    /// scanning the signature entries newest first (an in-page update
+    /// appends a second entry; the latest one is authoritative).
+    pub(crate) fn newest(&self, sig: KeySignature) -> Option<(usize, PairRef<'_>)> {
+        let raw = sig.0.to_le_bytes();
+        let i = self.sig_entries.chunks_exact(SIG_ENTRY_LEN).rposition(|e| e[..8] == raw)?;
+        Some((i, self.pair(i)?.1))
+    }
+
     /// Seal the page: header patched, sig info area moved to the tail.
     pub fn finish(mut self) -> Bytes {
         self.data[..HEADER_LEN].copy_from_slice(&self.pair_count.to_le_bytes());
@@ -305,41 +371,17 @@ pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
     let mut entries = Vec::with_capacity(pair_count);
     for i in 0..pair_count {
         let e = &data[info_start + i * SIG_ENTRY_LEN..info_start + (i + 1) * SIG_ENTRY_LEN];
-        let sig = KeySignature(u64::from_le_bytes(e[..8].try_into().ok()?));
-        let offset = u16::from_le_bytes(e[8..10].try_into().ok()?);
-        let frag_len = u32::from_le_bytes(e[10..14].try_into().ok()?);
-
-        let off = offset as usize;
-        if off + RECORD_PREFIX_LEN > info_start {
-            return None;
-        }
-        let key_len = u16::from_le_bytes(data[off..off + 2].try_into().ok()?) as usize;
-        let val_total_len = u32::from_le_bytes(data[off + 2..off + 6].try_into().ok()?);
-        let flags = data[off + 6];
-        let cont_raw: [u8; Ppa::PACKED_LEN] = data[off + 7..off + 12].try_into().ok()?;
-        let cont_start = if cont_raw == [0xff; Ppa::PACKED_LEN] {
-            None
-        } else {
-            Some(Ppa::from_bytes(cont_raw))
-        };
-        let key_start = off + RECORD_PREFIX_LEN;
-        let frag_start = key_start + key_len;
-        let frag_end = frag_start + frag_len as usize;
-        if frag_end > info_start {
-            return None;
-        }
-        if frag_len > val_total_len {
-            return None;
-        }
+        let (sig, offset, frag_len) = parse_sig_entry(e)?;
+        let pair = parse_record(&data[..info_start], offset as usize, frag_len)?;
         entries.push(PairEntry {
             sig,
             offset,
             frag_len,
-            val_total_len,
-            cont_start,
-            key: Bytes::copy_from_slice(&data[key_start..frag_start]),
-            value_frag: Bytes::copy_from_slice(&data[frag_start..frag_end]),
-            flags,
+            val_total_len: pair.val_total_len,
+            cont_start: pair.cont_start,
+            key: Bytes::copy_from_slice(pair.key),
+            value_frag: Bytes::copy_from_slice(pair.value_frag),
+            flags: pair.flags,
         });
     }
     Some(entries)

@@ -146,11 +146,12 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    /// A view publishing `first`.
-    pub fn new(first: GenSnapshot) -> Self {
+    /// A view publishing `first`. The writer keeps its own handle on the
+    /// generation to bracket slot updates on.
+    pub fn new(first: Arc<GenSnapshot>) -> Self {
         ReadView {
             domain: EpochDomain::new(),
-            snapshot: GenCell::new(Arc::new(first)),
+            snapshot: GenCell::new(first),
             tally: LookupTally::default(),
         }
     }
@@ -182,15 +183,18 @@ impl ReadView {
         Some(SlotRead { snapshot, slot, version, key, addr: TableAddr::decode(word) })
     }
 
-    /// Replace the published generation by `next` (a doubling completed).
-    /// Every slot of the old generation is left mid-write first: later
-    /// writes go to `next` only, so a reader still holding the old
-    /// generation must never validate against it again.
-    pub fn publish(&self, next: GenSnapshot) {
+    /// Replace the published generation by `next` (a doubling completed)
+    /// and return it: the writer brackets its later slot updates on the
+    /// returned handle. Every slot of the old generation is left
+    /// mid-write first: later writes go to `next` only, so a reader still
+    /// holding the old generation must never validate against it again.
+    pub fn publish(&self, next: GenSnapshot) -> Arc<GenSnapshot> {
         for slot in self.snapshot().slots.iter() {
             slot.write_begin();
         }
-        self.snapshot.publish(&self.domain, Arc::new(next));
+        let next = Arc::new(next);
+        self.snapshot.publish(&self.domain, Arc::clone(&next));
+        next
     }
 }
 
@@ -199,10 +203,8 @@ mod tests {
     use super::*;
 
     fn view(bits: u32) -> (ReadView, Arc<GenSnapshot>) {
-        let view =
-            ReadView::new(GenSnapshot::new(0, bits, (0..1 << bits).map(|_| TableAddr::Empty)));
-        let snapshot = view.snapshot();
-        (view, snapshot)
+        let first = Arc::new(GenSnapshot::new(0, bits, (0..1 << bits).map(|_| TableAddr::Empty)));
+        (ReadView::new(Arc::clone(&first)), first)
     }
 
     #[test]
@@ -241,8 +243,12 @@ mod tests {
         let (view, old) = view(1);
         let read = view.begin(1).unwrap();
         let base = 1u64 << 32;
-        view.publish(GenSnapshot::new(base, 2, (0..4).map(|s| TableAddr::Flash(Ppa::new(s, 0)))));
-        let next = view.snapshot();
+        let next = view.publish(GenSnapshot::new(
+            base,
+            2,
+            (0..4).map(|s| TableAddr::Flash(Ppa::new(s, 0))),
+        ));
+        assert!(Arc::ptr_eq(&next, &view.snapshot()), "publish returns the published generation");
         assert!(!read.validate(), "old generation must never validate again");
         assert_eq!(old.slot_of_key(1), Some(1));
         assert_eq!(next.slot_of_key(1), None, "keys of another generation have no slot");

@@ -151,20 +151,40 @@ fn loom_seqlock_readers_never_validate_torn_writes() {
 /// The world one directory slot's readers see: the page cache's copy of
 /// the slot's record table (its one record's head page), record tables
 /// on flash, and data pages on flash. `GARBAGE` marks erased media.
+/// `gen` is the writer's handle on the generation it published, which
+/// it brackets its slot updates on (as `RhikIndex` does).
 struct Slot {
     view: ReadView,
+    gen: std::sync::Arc<GenSnapshot>,
     cache: Mutex<Option<u64>>,
     tables: [AtomicU64; 3],
-    data: [AtomicU64; 4],
+    data: [AtomicU64; PAGES],
     started: AtomicU64,
 }
 
 const GARBAGE: u64 = u64::MAX;
 
+/// Data pages in a slot model; pages past those a model names start
+/// erased.
+const PAGES: usize = 16;
+
+/// Lock-free gets each slot model's reader attempts while the writer runs.
+const READS: usize = 32;
+
+/// The model's data pages: `named` first, the rest erased.
+fn pages(named: &[u64]) -> [u64; PAGES] {
+    let mut data = [GARBAGE; PAGES];
+    data[..named.len()].copy_from_slice(named);
+    data
+}
+
 impl Slot {
-    fn new(view: ReadView, cache: Option<u64>, tables: [u64; 3], data: [u64; 4]) -> Self {
+    /// One slot published at `addr`.
+    fn new(addr: TableAddr, cache: Option<u64>, tables: [u64; 3], data: [u64; PAGES]) -> Self {
+        let gen = std::sync::Arc::new(GenSnapshot::new(0, 0, [addr]));
         Slot {
-            view,
+            view: ReadView::new(std::sync::Arc::clone(&gen)),
+            gen,
             cache: Mutex::new(cache),
             tables: tables.map(AtomicU64::new),
             data: data.map(AtomicU64::new),
@@ -185,6 +205,7 @@ impl Slot {
     /// for a validated read.
     fn get(&self) -> Option<u64> {
         let read = self.view.begin(0)?;
+        thread::yield_now();
         let head = match (read.addr, *self.cache.lock().unwrap()) {
             (TableAddr::Empty | TableAddr::Unavailable, _) => return None,
             (_, Some(head)) => head,
@@ -200,10 +221,6 @@ impl Slot {
     }
 }
 
-fn one_slot(addr: TableAddr) -> ReadView {
-    ReadView::new(GenSnapshot::new(0, 0, [addr]))
-}
-
 /// A probe that overlaps an in-place record update never validates: the
 /// update writes the new pair, repoints the cached record inside the
 /// slot's bracket, and garbage collection then erases the old pair — a
@@ -212,22 +229,21 @@ fn one_slot(addr: TableAddr) -> ReadView {
 fn loom_slot_probe_never_validates_across_a_record_mutation() {
     loom::model(|| {
         let slot = Arc::new(Slot::new(
-            one_slot(TableAddr::Flash(Ppa::new(0, 0))),
+            TableAddr::Flash(Ppa::new(0, 0)),
             Some(1),
             [1, GARBAGE, GARBAGE],
-            [GARBAGE, 10, GARBAGE, GARBAGE],
+            pages(&[GARBAGE, 10]),
         ));
         let writer = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                let gen = slot.view.snapshot();
+                let gen = std::sync::Arc::clone(&slot.gen);
                 slot.start();
-                for new in 2..4u64 {
+                for new in 2..PAGES as u64 {
                     slot.data[new as usize].store(10 * new, Ordering::SeqCst);
                     gen.write_begin(0);
                     *slot.cache.lock().unwrap() = Some(new);
                     gen.write_end(0, TableAddr::Cached);
-                    thread::yield_now();
                     slot.data[new as usize - 1].store(GARBAGE, Ordering::SeqCst);
                 }
             })
@@ -236,7 +252,7 @@ fn loom_slot_probe_never_validates_across_a_record_mutation() {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
                 slot.start();
-                for _ in 0..6 {
+                for _ in 0..READS {
                     if let Some(value) = slot.get() {
                         assert!(value != GARBAGE, "validated read returned an erased page");
                     }
@@ -245,51 +261,59 @@ fn loom_slot_probe_never_validates_across_a_record_mutation() {
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        assert_eq!(slot.get(), Some(30), "a quiet read after the update must validate");
+        assert_eq!(slot.get(), Some(150), "a quiet read after the updates must validate");
     });
 }
 
 /// A dirty record page is published as cache-only, so a reader that
 /// misses it while it is being written back falls back instead of
 /// reading the stale flash copy; once the write-back publishes the new
-/// table, reads validate again.
+/// table, reads validate again. Garbage collection then relocates that
+/// table and erases the copy the write-back made: a reader still holding
+/// its address never validates.
 #[test]
 fn loom_slot_probe_never_validates_across_a_write_back() {
     loom::model(|| {
         // The update to value 20 committed before the reader started:
         // the flash table still names the old pair, the cache the new.
         let slot = Arc::new(Slot::new(
-            one_slot(TableAddr::Cached),
+            TableAddr::Cached,
             Some(2),
             [1, GARBAGE, GARBAGE],
-            [GARBAGE, 10, 20, GARBAGE],
+            pages(&[GARBAGE, 10, 20]),
         ));
         let writer = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                let gen = slot.view.snapshot();
+                let gen = std::sync::Arc::clone(&slot.gen);
                 slot.start();
                 let page = slot.cache.lock().unwrap().take().expect("dirty page cached");
                 thread::yield_now();
                 slot.tables[1].store(page, Ordering::SeqCst);
                 gen.write_begin(0);
                 gen.write_end(0, TableAddr::Flash(Ppa::new(0, 1)));
+                thread::yield_now();
+                let page = slot.tables[1].load(Ordering::SeqCst);
+                slot.tables[2].store(page, Ordering::SeqCst);
+                gen.write_begin(0);
+                gen.write_end(0, TableAddr::Flash(Ppa::new(0, 2)));
+                slot.tables[1].store(GARBAGE, Ordering::SeqCst);
             })
         };
         let reader = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
                 slot.start();
-                for _ in 0..6 {
+                for _ in 0..READS {
                     if let Some(value) = slot.get() {
-                        assert_eq!(value, 20, "validated read returned a superseded value");
+                        assert_eq!(value, 20, "validated read saw {value:#x}");
                     }
                 }
             })
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        assert_eq!(slot.get(), Some(20), "written-back table must be readable");
+        assert_eq!(slot.get(), Some(20), "relocated table must be readable");
     });
 }
 
@@ -301,15 +325,15 @@ fn loom_slot_probe_never_validates_across_a_write_back() {
 fn loom_slot_probe_never_validates_across_a_doubling() {
     loom::model(|| {
         let slot = Arc::new(Slot::new(
-            one_slot(TableAddr::Flash(Ppa::new(0, 0))),
+            TableAddr::Flash(Ppa::new(0, 0)),
             None,
             [1, GARBAGE, GARBAGE],
-            [GARBAGE, 10, GARBAGE, GARBAGE],
+            pages(&[GARBAGE, 10]),
         ));
         let writer = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                let old = slot.view.snapshot();
+                let old = std::sync::Arc::clone(&slot.gen);
                 slot.start();
                 old.write_begin(0);
                 old.write_end(0, TableAddr::Unavailable);
@@ -319,8 +343,7 @@ fn loom_slot_probe_never_validates_across_a_doubling() {
                     1,
                     [TableAddr::Flash(Ppa::new(0, 1)), TableAddr::Empty],
                 );
-                slot.view.publish(next);
-                let next = slot.view.snapshot();
+                let next = slot.view.publish(next);
                 thread::yield_now();
                 // A put in the doubled directory, then GC of the old
                 // table and the superseded pair.
@@ -336,7 +359,7 @@ fn loom_slot_probe_never_validates_across_a_doubling() {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
                 slot.start();
-                for _ in 0..6 {
+                for _ in 0..READS {
                     if let Some(value) = slot.get() {
                         assert!(value == 10 || value == 20, "validated read saw {value:#x}");
                     }

@@ -29,9 +29,7 @@ use bytes::Bytes;
 use rhik_ftl::sync::{Counter, Mutex, VersionTable};
 use rhik_hotcache::{AdmitReport, CacheConfig, CacheLookup, CacheStats, HotCache};
 use rhik_sigs::KeySignature;
-use rhik_telemetry::{OpKind, OpSpan, Stage, StageEvent, TelemetrySink};
-
-use crate::histogram::LatencyHistogram;
+use rhik_telemetry::{LatencyHistogram, OpKind, OpSpan, Stage, StageEvent, TelemetrySink};
 
 /// Version-table stripes: `1 << 14` per-bucket versions (128 KiB of
 /// DRAM). Stripe collisions only cause spurious invalidation, so the

@@ -525,10 +525,11 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// Run GC; returns whether anything was reclaimed.
     fn run_gc(&mut self) -> Result<bool> {
         self.stats.gc_invocations += 1;
-        let raw_before = self.ftl.free_blocks_raw();
         let r = gc::run(&mut self.ftl, &mut self.index, &self.gc_cfg);
-        if std::env::var_os("RHIK_GC_TRACE").is_some() {
-            eprintln!("[gc] raw {} -> {} result {:?}", raw_before, self.ftl.free_blocks_raw(), r);
+        if self.telemetry.is_enabled() {
+            self.telemetry.counter_add("kvssd_gc_runs", 1);
+            // Free blocks after the run, GC reserve included.
+            self.telemetry.gauge_set("ftl_free_blocks", f64::from(self.ftl.free_blocks_raw()));
         }
         match r {
             Ok(report) => Ok(report.data_blocks_erased + report.index_blocks_erased > 0),
@@ -1306,6 +1307,8 @@ mod tests {
     #[test]
     fn fill_update_gc_cycle_preserves_data() {
         let mut dev = device();
+        let sink = TelemetrySink::enabled();
+        dev.set_telemetry(sink.clone());
         let value = vec![7u8; 8 * 1024];
         // ~2.4 MiB live working set overwritten 10x (~24 MiB of logical
         // writes on 16 MiB of raw flash) forces GC via update staleness.
@@ -1319,6 +1322,10 @@ mod tests {
         }
         assert_eq!(dev.key_count(), 300);
         assert!(dev.stats().gc_invocations > 0, "GC never ran: {:?}", dev.stats());
+        let snap = sink.snapshot().unwrap();
+        assert_eq!(snap.counter("kvssd_gc_runs"), dev.stats().gc_invocations);
+        let free = snap.gauge("ftl_free_blocks").expect("free-blocks gauge set by GC");
+        assert!(free > 0.0 && free <= f64::from(dev.ftl().geometry().blocks));
         for i in 0..300u64 {
             let v = dev.get(format!("key-{i:04}").as_bytes()).unwrap().expect("key lost");
             assert_eq!(v[0], 9, "stale version resurfaced for key {i}");

@@ -15,9 +15,9 @@
 
 use rhik_ftl::TimedOp;
 use rhik_nand::DeviceProfile;
+use rhik_telemetry::LatencyHistogram;
 
 use crate::config::EngineMode;
-use crate::histogram::LatencyHistogram;
 
 /// Timing outcome of one command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -35,7 +35,6 @@ mod config;
 mod device;
 mod engine;
 mod error;
-mod histogram;
 mod sharded;
 mod shared;
 
@@ -44,7 +43,7 @@ pub use config::{DeviceConfig, EngineMode};
 pub use device::{DeviceStats, ExistReport, KvssdDevice};
 pub use engine::{CommandTiming, TimingEngine};
 pub use error::KvError;
-pub use histogram::LatencyHistogram;
+pub use rhik_telemetry::LatencyHistogram;
 pub use sharded::{BatchOp, BatchReply, GroupCommitStats, LockfreeReadStats, ShardedKvssd};
 pub use shared::SharedKvssd;
 

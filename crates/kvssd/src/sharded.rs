@@ -41,13 +41,12 @@ use rhik_ftl::layout;
 use rhik_ftl::sync::{Condvar, Counter, Mutex, MutexGuard};
 use rhik_ftl::{FlashPool, Ftl, IndexBackend};
 use rhik_sigs::{KeySignature, SigHasher};
-use rhik_telemetry::{OpKind, OpSpan, TelemetrySink};
+use rhik_telemetry::{LatencyHistogram, OpKind, OpSpan, TelemetrySink};
 
 use crate::cache_tier::{CacheTier, Probe};
 use crate::config::DeviceConfig;
 use crate::device::{DeviceStats, ExistReport, KvssdDevice};
 use crate::error::KvError;
-use crate::histogram::LatencyHistogram;
 use crate::Result;
 
 // ------------------------------------------------------ lock-free reads

@@ -26,6 +26,15 @@ const DIR_PAGE_KEY: u64 = 1 << 63;
 /// Cache keys with this bit set identify §VI hyper-local overflow tables.
 pub(crate) const OVERFLOW_KEY: u64 = 1 << 62;
 
+/// The directory published to the lock-free readers, with the generation
+/// this index published last: writers bracket their slot updates on it
+/// directly instead of loading the view's current generation (an epoch
+/// pin) for every bracket. Only the index publishes, so the two agree.
+struct Published {
+    view: Arc<ReadView>,
+    current: Arc<GenSnapshot>,
+}
+
 /// The Re-configurable Hash Index (§IV).
 pub struct RhikIndex {
     cfg: RhikConfig,
@@ -51,7 +60,7 @@ pub struct RhikIndex {
     recovery_lost_tables: u64,
     /// The directory as published to the shard's lock-free readers (see
     /// [`RhikIndex::reader`]); `None` while no reader is attached.
-    view: Option<Arc<ReadView>>,
+    view: Option<Published>,
     /// Invalidation versions for the hot-object cache tier (attached by
     /// the device when the cache is enabled; `None` otherwise). Every
     /// value mutation — insert, update, delete, GC relocation — bumps the
@@ -329,10 +338,14 @@ impl RhikIndex {
     /// and return a reader over it, this FTL's page cache and its media.
     pub fn reader(&mut self, ftl: &Ftl) -> IndexReader {
         let view = match &self.view {
-            Some(view) => Arc::clone(view),
-            None => Arc::new(ReadView::new(self.snapshot())),
+            Some(published) => Arc::clone(&published.view),
+            None => {
+                let current = Arc::new(self.snapshot());
+                let view = Arc::new(ReadView::new(Arc::clone(&current)));
+                self.view = Some(Published { view: Arc::clone(&view), current });
+                view
+            }
         };
-        self.view = Some(Arc::clone(&view));
         IndexReader::new(view, ftl.page_cache(), ftl.media_reader(), self.table_shape())
     }
 
@@ -356,17 +369,18 @@ impl RhikIndex {
     }
 
     /// Publish the doubled directory once its migration has completed.
-    pub(crate) fn publish_directory(&self) {
-        if let Some(view) = &self.view {
-            view.publish(self.snapshot());
+    pub(crate) fn publish_directory(&mut self) {
+        if let Some(view) = self.view.as_ref().map(|published| Arc::clone(&published.view)) {
+            let current = view.publish(self.snapshot());
+            self.view = Some(Published { view, current });
         }
     }
 
     /// Stop serving `key`'s published slot lock-free: a doubling is about
     /// to move its records into the new directory.
     pub(crate) fn withdraw_slot(&self, key: u64) {
-        if let (Some(slot), Some(view)) = (self.slot_begin(key), &self.view) {
-            view.snapshot().write_end(slot, TableAddr::Unavailable);
+        if let (Some(slot), Some(published)) = (self.slot_begin(key), &self.view) {
+            published.current.write_end(slot, TableAddr::Unavailable);
         }
     }
 
@@ -621,15 +635,15 @@ impl TableStore for RhikIndex {
     }
 
     fn slot_begin(&self, key: u64) -> Option<usize> {
-        let current = self.view.as_ref()?.snapshot();
+        let current = &self.view.as_ref()?.current;
         let slot = current.slot_of_key(key & !OVERFLOW_KEY)?;
         current.write_begin(slot);
         Some(slot)
     }
 
     fn slot_end(&self, slot: Option<usize>, key: u64) {
-        if let (Some(slot), Some(view)) = (slot, &self.view) {
-            view.snapshot().write_end(slot, self.table_addr(key & !OVERFLOW_KEY));
+        if let (Some(slot), Some(published)) = (slot, &self.view) {
+            published.current.write_end(slot, self.table_addr(key & !OVERFLOW_KEY));
         }
     }
 }
@@ -743,7 +757,7 @@ impl IndexBackend for RhikIndex {
     /// The directory plus, with lock-free readers attached, the slot
     /// array published to them.
     fn dram_bytes(&self) -> u64 {
-        self.dir.dram_bytes() + self.view.as_ref().map_or(0, |v| v.snapshot().dram_bytes())
+        self.dir.dram_bytes() + self.view.as_ref().map_or(0, |p| p.current.dram_bytes())
     }
 
     fn stats(&self) -> &IndexStats {
@@ -835,8 +849,8 @@ impl IndexBackend for RhikIndex {
     }
 
     fn sync_stats(&mut self) {
-        if let Some(view) = &self.view {
-            self.stats.absorb(view.tally());
+        if let Some(published) = &self.view {
+            self.stats.absorb(published.view.tally());
         }
     }
 
@@ -1038,6 +1052,37 @@ mod tests {
             let s = sig(i ^ 0xBBBB_0000);
             assert!(idx.lookup(&mut ftl, s).unwrap().is_some(), "key {i} lost");
         }
+    }
+
+    #[test]
+    fn locked_probe_counts_cache_hits_and_misses() {
+        let (mut ftl, mut idx) = setup();
+        let head = Ppa::new(0, 3);
+        idx.insert(&mut ftl, sig(1), head).unwrap();
+        idx.flush(&mut ftl).unwrap();
+        let key = idx.route(sig(1));
+        let counts = |ftl: &Ftl| {
+            let s = ftl.cache_ref().stats();
+            (s.hits, s.misses)
+        };
+        let (hits, misses) = counts(&ftl);
+        let reads = idx.stats().metadata_flash_reads;
+
+        // Cached: one hit, no read.
+        assert_eq!(idx.lookup(&mut ftl, sig(1)).unwrap(), Some(head));
+        assert_eq!(counts(&ftl), (hits + 1, misses));
+        // Evicted: one miss and one read, which installs the page clean.
+        assert!(ftl.cache().remove(key).is_some());
+        assert_eq!(idx.lookup(&mut ftl, sig(1)).unwrap(), Some(head));
+        assert_eq!(counts(&ftl), (hits + 1, misses + 1));
+        assert_eq!(idx.stats().metadata_flash_reads, reads + 1);
+        assert!(ftl.cache_ref().peek(key).is_some() && !ftl.cache_ref().is_dirty(key));
+        // Cached again: a hit, for an absent signature of the table too.
+        let absent = (2..).map(sig).find(|&s| idx.route(s) == key).unwrap();
+        assert_eq!(idx.lookup(&mut ftl, sig(1)).unwrap(), Some(head));
+        assert_eq!(idx.lookup(&mut ftl, absent).unwrap(), None);
+        assert_eq!(counts(&ftl), (hits + 3, misses + 1));
+        assert_eq!(idx.stats().metadata_flash_reads, reads + 1);
     }
 
     #[test]

@@ -91,17 +91,27 @@ pub trait TableStore {
     }
 
     /// Probe the table under `key` for `sig`; returns the hit and the flash
-    /// reads it took (≤ 1).
+    /// reads it took (≤ 1). A cached page is probed where it lies, under
+    /// the cache lock; a miss probes the page read from flash, then
+    /// installs it clean.
     fn probe_table(
         &mut self,
         ftl: &mut Ftl,
         key: u64,
         sig: KeySignature,
     ) -> Result<(Option<Ppa>, u64), IndexError> {
-        let Some((page, reads)) = self.fetch_page(ftl, key)? else { return Ok((None, 0)) };
         let (records, hop_width) = self.table_shape();
-        let table = RecordTable::view(&page[..], records, hop_width, self.table_len(key));
-        Ok((table.lookup(sig), reads))
+        let len = self.table_len(key);
+        let probe = |page: &[u8]| RecordTable::view(page, records, hop_width, len).lookup(sig);
+        if let Some(hit) = ftl.cache().get_mut(key).map(|(page, _)| probe(page)) {
+            return Ok((hit, 0));
+        }
+        let Some(ppa) = self.table_ppa(key) else { return Ok((None, 0)) };
+        let page = ftl.read_index_page(ppa)?;
+        self.index_stats_mut().metadata_flash_reads += 1;
+        let hit = probe(&page);
+        self.install(ftl, key, page, false)?;
+        Ok((hit, 1))
     }
 
     /// Run `op` on the table under `key`, in place on its cached page. A
@@ -120,11 +130,9 @@ pub trait TableStore {
         let len = self.table_len(key);
         let slot = self.slot_begin(key);
         let mut cache = ftl.cache();
-        if let Some(page) = cache.get_mut(key) {
+        if let Some((page, dirty)) = cache.get_mut(key) {
             let (out, len, modified) = RecordTable::update_page(page, records, hop_width, len, op);
-            if modified {
-                cache.mark_dirty(key);
-            }
+            *dirty |= modified;
             drop(cache);
             if modified {
                 self.set_table_len(key, len);
